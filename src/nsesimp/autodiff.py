@@ -135,7 +135,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
             continue
         owners.pop(id(node.out), None)
         if node.out.requires_grad:
-            node.out.grad = g_out.copy() if node.out.grad is None else node.out.grad + g_out
+            _accumulate(node.out, g_out)
         for t, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None:
                 continue
@@ -148,7 +148,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
     for k, g in grads.items():
         t = owners[k]
         if t.requires_grad:
-            t.grad = g.copy() if t.grad is None else t.grad + g
+            _accumulate(t, g)
+
+
+def _accumulate(t: Tensor, g: Array) -> None:
+    # t.grad is always a buffer of t's own (a copy or an earlier sum), so it
+    # can be added to in place; g may alias other gradients, so it is copied.
+    if t.grad is None:
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +259,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise DimensionError(f"matmul unsupported ranks {ad.shape} x {bd.shape}")
     return _emit(ad @ bd, (a, b), bw)
+
+
+def affine_rows(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """Row-wise affine map: out[t] = W x[t] + b for x [T, I], W [O, I], b [O].
+
+    One node for a whole sequence, so W's gradient is a single g^T x matmul
+    instead of one outer product per row.
+    """
+    xd, Wd, bd = x.data, W.data, b.data
+    if (
+        xd.ndim != 2
+        or Wd.ndim != 2
+        or bd.shape != (Wd.shape[0],)
+        or xd.shape[1] != Wd.shape[1]
+    ):
+        raise DimensionError(f"affine_rows x{xd.shape}, W{Wd.shape}, b{bd.shape}")
+
+    def bw(g):
+        return g @ Wd, g.T @ xd, g.sum(axis=0)
+
+    return _emit(xd @ Wd.T + bd, (x, W, b), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,36 @@ def init_decoder(p: DecoderParams, enc: EncoderOutput) -> DecoderState:
     return DecoderState(h1=h0, c1=c0, h2=h0, c2=c0, prev_token=BOS_ID, step=0)
 
 
+def decoder_recurrence(
+    p: DecoderParams,
+    state: DecoderState,
+    y_prev_embedding: Tensor,
+    states: Tensor,
+    dropout_rate: float = 0.0,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+):
+    """Attention and both LSTM layers; returns (new_state, alpha, feature).
+
+    ``feature`` is [top state; context], the input of the output layer.
+    Dropout (training only) applies to the token embedding and between the
+    two layers, drawing from ``rng`` in that order.
+    """
+    alpha, context = attend(state.h2, states)
+    y = y_prev_embedding
+    if training and dropout_rate > 0.0:
+        y = ad.dropout(y, dropout_rate, training, rng)
+    h1, c1 = layers.lstm_step(p.layer1, ad.concat(y, context), state.h1, state.c1)
+    mid = h1
+    if training and dropout_rate > 0.0:
+        mid = ad.dropout(mid, dropout_rate, training, rng)
+    h2, c2 = layers.lstm_step(p.layer2, mid, state.h2, state.c2)
+    new_state = DecoderState(
+        h1=h1, c1=c1, h2=h2, c2=c2, prev_token=state.prev_token, step=state.step
+    )
+    return new_state, alpha, ad.concat(h2, context)
+
+
 def decoder_step(
     p: DecoderParams,
     state: DecoderState,
@@ -119,20 +149,9 @@ def decoder_step(
     """One decoding transition; returns (new_state, alpha, logits).
 
     The caller chooses the emitted token from the logits and records it via
-    ``new_state.advanced(token)``.  Dropout (training only) applies to the
-    token embedding and between the two layers.
+    ``new_state.advanced(token)``.
     """
-    alpha, context = attend(state.h2, states)
-    y = y_prev_embedding
-    if training and dropout_rate > 0.0:
-        y = ad.dropout(y, dropout_rate, training, rng)
-    h1, c1 = layers.lstm_step(p.layer1, ad.concat(y, context), state.h1, state.c1)
-    mid = h1
-    if training and dropout_rate > 0.0:
-        mid = ad.dropout(mid, dropout_rate, training, rng)
-    h2, c2 = layers.lstm_step(p.layer2, mid, state.h2, state.c2)
-    logits = layers.linear(p.out_w, p.out_b, ad.concat(h2, context))
-    new_state = DecoderState(
-        h1=h1, c1=c1, h2=h2, c2=c2, prev_token=state.prev_token, step=state.step
+    new_state, alpha, feature = decoder_recurrence(
+        p, state, y_prev_embedding, states, dropout_rate, training, rng
     )
-    return new_state, alpha, logits
+    return new_state, alpha, layers.linear(p.out_w, p.out_b, feature)

@@ -164,5 +164,7 @@ def mlp(p: MlpParams, x: Tensor) -> Tensor:
 
 
 def linear(W: Tensor, b: Tensor, x: Tensor) -> Tensor:
-    """Affine map W x + b."""
+    """Affine map W x + b of a vector, or of each row of a [T, I] matrix."""
+    if x.data.ndim == 2:
+        return ad.affine_rows(x, W, b)
     return ad.add(ad.matmul(W, x), b)

@@ -16,7 +16,13 @@ from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
 from .data import Vocabulary
-from .decoder import DecoderParams, DecoderState, decoder_step, init_decoder
+from .decoder import (
+    DecoderParams,
+    DecoderState,
+    decoder_recurrence,
+    decoder_step,
+    init_decoder,
+)
 from .encoders import (
     EncoderOutput,
     LstmEncoderParams,
@@ -119,17 +125,20 @@ def teacher_logits(
     """Teacher-forced forward pass; returns the [T, V] logit matrix.
 
     ``decoder_input_ids`` is the gold target shifted right, i.e. starts
-    with the sentence-begin id.
+    with the sentence-begin id.  The embedding gather and the output layer
+    run once over the whole sentence, so each has a single V-sized
+    gradient; only the recurrence steps one token at a time.
     """
-    state = init_decoder(model.decoder, enc)
-    rows = []
-    for tok in decoder_input_ids:
-        y = ad.row(model.tgt_embed.E, int(tok))
-        state, _, logits = decoder_step(
-            model.decoder, state, y, enc.states, dropout_rate, training, rng
+    p = model.decoder
+    state = init_decoder(p, enc)
+    inputs = ad.take_rows(model.tgt_embed.E, decoder_input_ids)
+    features = []
+    for t in range(inputs.shape[0]):
+        state, _, feature = decoder_recurrence(
+            p, state, ad.row(inputs, t), enc.states, dropout_rate, training, rng
         )
-        rows.append(logits)
-    return ad.stack_rows(rows)
+        features.append(feature)
+    return layers.linear(p.out_w, p.out_b, ad.stack_rows(features))
 
 
 class DecodeSession:

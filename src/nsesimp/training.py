@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import PAD_ID, ParallelCorpus, Vocabulary, batches
+from .data import BOS_ID, EOS_ID, PAD_ID, ParallelCorpus, Vocabulary, batches
 from .errors import ConfigError, FormatError, UsageError
 from .metrics import EvalInstance, bleu_corpus, sari_corpus
 from .model import DecodeSession, Model, build_model, encode, teacher_logits
@@ -62,8 +62,6 @@ def sentence_loss(
 
     ``tgt_ids`` is the bare target; begin/end wrapping happens here.
     """
-    from .data import BOS_ID, EOS_ID
-
     enc = encode(model, src_ids, dropout_rate, training, rng)
     dec_in = [BOS_ID] + list(tgt_ids)
     dec_out = list(tgt_ids) + [EOS_ID]
@@ -91,6 +89,11 @@ class AdamState:
         )
 
 
+# Elements per Adam chunk: small enough that the two scratch buffers and the
+# chunk's slices of p, g, m and v stay in cache across the chunk's ten passes.
+_ADAM_CHUNK = 1 << 14
+
+
 def adam_step(
     params,
     state: AdamState,
@@ -99,24 +102,49 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place.
+
+    Each parameter is updated chunk by chunk through two small scratch
+    buffers, so no full-size temporary is allocated and each array is
+    streamed from memory once.  The elementwise operations run in the order
+    of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, so the results are
+    bitwise those of evaluating that expression on whole arrays.
+    """
     if len(params) != len(state.m):
         raise UsageError(
             f"optimizer state tracks {len(state.m)} tensors, got {len(params)} params"
         )
-    for p in params:
+    for p, m, v in zip(params, state.m, state.v):
         if p.grad is None:
             raise UsageError("parameter has no gradient; run backward first")
+        if not (p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise UsageError("parameters and moments must be C-contiguous to update in place")
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    scratch_a = np.empty(_ADAM_CHUNK)
+    scratch_b = np.empty(_ADAM_CHUNK)
+    for p, m_all, v_all in zip(params, state.m, state.v):
+        p_all, g_all = p.data.reshape(-1), p.grad.reshape(-1)
+        m_all, v_all = m_all.reshape(-1), v_all.reshape(-1)
+        for lo in range(0, p_all.size, _ADAM_CHUNK):
+            hi = min(lo + _ADAM_CHUNK, p_all.size)
+            w, g, m, v = p_all[lo:hi], g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+            m *= beta1
+            np.multiply(1.0 - beta1, g, out=a)
+            m += a
+            v *= beta2
+            np.multiply(1.0 - beta2, g, out=a)
+            a *= g
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(m, c1, out=b)
+            b *= lr
+            b /= a
+            w -= b
 
 
 def clip_global_norm(params, max_norm: float) -> float:
@@ -584,17 +612,16 @@ def train(
             model.zero_grads()
             batch_tokens = int(batch.tgt_mask.sum())
             for i in range(batch.size):
-                dec_out = batch.tgt_out_ids(i)
+                tgt = batch.tgt_out_ids(i)[:-1]  # drop the end marker
+                n_out = len(tgt) + 1
                 with Tape() as tape:
-                    enc = encode(model, batch.src_ids(i), config.dropout, True, dropout_rng)
-                    logits = teacher_logits(
-                        model, enc, batch.tgt_in_ids(i), config.dropout, True, dropout_rng
+                    mean_loss = sentence_loss(
+                        model, batch.src_ids(i), tgt, config.dropout, True, dropout_rng
                     )
-                    mean_loss = xent_loss(logits, dec_out)
-                    contribution = ad.scale(mean_loss, len(dec_out) / batch_tokens)
+                    contribution = ad.scale(mean_loss, n_out / batch_tokens)
                 backward(contribution, tape)
-                total_nll += mean_loss.item() * len(dec_out)
-                total_tokens += len(dec_out)
+                total_nll += mean_loss.item() * n_out
+                total_tokens += n_out
             clip_global_norm(params, config.clip_norm)
             adam_step(
                 params, adam, config.resolved_lr(), config.beta1, config.beta2, config.adam_eps

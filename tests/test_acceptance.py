@@ -162,6 +162,12 @@ def _op_checks():
     )
     W, b, x, w = uni(3, 4), uni(3), uni(4), pos(3)
     check("affine map", [W, b, x], lambda W=W, b=b, x=x, w=w: ws(layers.linear(W, b, x), w))
+    W, b, x, w = uni(3, 4), uni(3), uni(2, 4), pos(2, 3)
+    check(
+        "row-wise affine map",
+        [W, b, x],
+        lambda W=W, b=b, x=x, w=w: ws(layers.linear(W, b, x), w),
+    )
 
     mem, read_h = uni(4, 3), uni(3)
     w1, w2 = pos(4), pos(3)

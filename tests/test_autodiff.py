@@ -128,6 +128,37 @@ class TestMatmul:
             ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
 
 
+class TestAffineRows:
+    def test_rows_match_per_row_affine_map(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 4))
+        W = rng.normal(size=(5, 4))
+        b = rng.normal(size=5)
+        out = ad.affine_rows(Tensor(x), Tensor(W), Tensor(b))
+        assert out.shape == (3, 5)
+        for t in range(3):
+            npt.assert_allclose(out.data[t], W @ x[t] + b, rtol=1e-13)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        W = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        probe = Tensor(rng.uniform(0.5, 1.5, size=(3, 5)))
+        check_op(lambda: ad.mul(ad.affine_rows(x, W, b), probe), [x, W, b])
+
+    def test_shape_mismatch(self):
+        x, W, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4))), Tensor(np.zeros(5))
+        for args in (
+            (Tensor(np.zeros((3, 2))), W, b),  # input width differs from W's
+            (Tensor(np.zeros(4)), W, b),  # a vector is not a row matrix
+            (x, Tensor(np.zeros(4)), b),
+            (x, W, Tensor(np.zeros(4))),  # bias length differs from W's rows
+        ):
+            with pytest.raises(DimensionError):
+                ad.affine_rows(*args)
+
+
 class TestActivations:
     def test_sigmoid_oracle(self):
         # sigmoid(ln 3) = 3/(3+1) = 0.75 exactly

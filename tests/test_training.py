@@ -104,6 +104,54 @@ def test_sentence_loss_deterministic_without_dropout():
     assert a == b
 
 
+@pytest.mark.parametrize("tgt_len", [1, 6])
+@pytest.mark.parametrize("kind", ["lstm", "nse"])
+def test_sentence_loss_tape_touches_vocab_sized_params_once(kind, tgt_len):
+    # the output layer and the target-embedding gather run once per sentence,
+    # so their V-sized gradients are built once, not once per target step
+    model = build_model(kind, 4, 7, 9, np.random.default_rng(6))
+    params = dict(model.named_params())
+    tgt = [4 + i % 5 for i in range(tgt_len)]
+    with Tape() as tape:
+        sentence_loss(model, [4, 5, 6], tgt, 0.3, True, np.random.default_rng(0))
+    for name in ("dec.out_w", "tgt_emb.E"):
+        users = [n for n in tape.nodes if any(x is params[name] for x in n.inputs)]
+        assert len(users) == 1, name
+
+
+def test_repeated_backward_accumulates_bitwise_like_a_fresh_sum():
+    rng = np.random.default_rng(14)
+    W = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    c = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    d = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    leaves = (W, b, c, d)
+    inputs = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
+
+    def loss(x):
+        # W and b feed two nodes; the add hands c and d one and the same
+        # gradient array, so leaves sharing a buffer would double-count
+        z = ad.add(ad.add(c, d), ad.affine_rows(x, W, b))
+        return ad.sum_all(ad.mul(ad.tanh(z), ad.affine_rows(x, W, b)))
+
+    separate = []
+    for x in inputs:
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            out = loss(x)
+        backward(out, tape)
+        separate.append([t.grad.copy() for t in leaves])
+    for t in leaves:
+        t.grad = None
+    for x in inputs:
+        with Tape() as tape:
+            out = loss(x)
+        backward(out, tape)
+    for t, first, second in zip(leaves, *separate):
+        assert np.array_equal(t.grad, first + second)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -161,6 +209,37 @@ def test_adam_param_count_mismatch_rejected():
     state = AdamState.create([p])
     with pytest.raises(UsageError):
         adam_step([p, q], state, lr=0.1)
+
+
+def test_adam_matches_whole_array_formula_bitwise():
+    # one shape spans several update chunks and ends mid-chunk
+    shapes = [(3,), (4, 5), (1,), (130, 300)]
+    rng = np.random.default_rng(15)
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    ref_p = [p.data.copy() for p in params]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    state = AdamState.create(params)
+    lr, beta1, beta2, eps = 0.003, 0.9, 0.999, 1e-8
+    for t in range(1, 4):
+        grads = [rng.normal(size=s) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        adam_step(params, state, lr, beta1, beta2, eps)
+        c1 = 1.0 - beta1**t
+        c2 = 1.0 - beta2**t
+        for p, m, v, g in zip(ref_p, ref_m, ref_v, grads):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    for p, want_p, got_m, want_m, got_v, want_v in zip(
+        params, ref_p, state.m, ref_m, state.v, ref_v
+    ):
+        assert np.array_equal(p.data, want_p)
+        assert np.array_equal(got_m, want_m)
+        assert np.array_equal(got_v, want_v)
 
 
 def test_adam_minimizes_quadratic():
