@@ -57,9 +57,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -94,25 +91,14 @@ class Tape:
 
 _ACTIVE: Tape | None = None
 
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle the NaN/Inf guard on op outputs; returns the previous setting."""
-    global _FINITE_CHECKS
-    prev = _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
-    return prev
-
 
 def _emit(data: Array, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _FINITE_CHECKS:
-        with np.errstate(over="ignore"):
-            total = data.sum()
-        # the fast-path sum can overflow for huge finite values; re-check
-        # element-wise before deciding
-        if not np.isfinite(total) and not np.isfinite(data).all():
-            raise NumericError("operation produced NaN or Inf")
+    with np.errstate(over="ignore"):
+        total = data.sum()
+    # the fast-path sum can overflow for huge finite values; re-check
+    # element-wise before deciding
+    if not np.isfinite(total) and not np.isfinite(data).all():
+        raise NumericError("operation produced NaN or Inf")
     out = Tensor(data)
     if _ACTIVE is not None:
         _ACTIVE.nodes.append(_Node(out, inputs, backward_fn))
@@ -217,18 +203,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(ad * bd, (a, b), bw)
 
 
-_EW_OPS = {"add": add, "sub": sub, "mul": mul}
-
-
-def ew(op: str, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add/sub/mul by name."""
-    try:
-        fn = _EW_OPS[op]
-    except KeyError:
-        raise UsageError(f"unknown elementwise op {op!r}") from None
-    return fn(a, b)
-
-
 # ---------------------------------------------------------------------------
 # matmul and friends
 
@@ -304,18 +278,6 @@ def tanh(x: Tensor) -> Tensor:
         return (g * (1.0 - out * out),)
 
     return _emit(out, (x,), bw)
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh}
-
-
-def activation(kind: str, x: Tensor) -> Tensor:
-    """Elementwise sigmoid or tanh by name."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise UsageError(f"unknown activation {kind!r}") from None
-    return fn(x)
 
 
 def _as_rows(xd: Array) -> tuple[Array, bool]:

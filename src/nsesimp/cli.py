@@ -6,7 +6,9 @@ Conventions shared by every subcommand:
 * the effective configuration is echoed to standard error as ``key=value``
   lines before any work starts;
 * exit codes are stable for scripting: 0 success, 2 usage or
-  configuration problem, 3 data problem, 4 checkpoint problem.
+  configuration problem (a training run that diverges to NaN or Inf is
+  one; the message names the epoch and the batch or dev decode), 3 data
+  problem, 4 checkpoint problem.
 
 ``train`` additionally accepts a configuration file of ``key=value``
 lines (``#`` starts a comment); command-line flags override file values,
@@ -19,6 +21,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -28,12 +31,14 @@ from .data import (
     load_pretrained_embeddings,
     load_references,
 )
-from .errors import ConfigError, DataError, FormatError, UsageError
-from .metrics import EvalInstance, bleu_corpus, sari_corpus
-from .model import DecodeSession, build_model
-from .search import beam_decode, greedy_decode, replace_unks
+from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
+from .model import ENCODER_KINDS, DecodeSession, build_model
+from .search import greedy_decode, replace_unks
 from .training import (
+    PRESETS,
     TrainConfig,
+    decode_tokens,
+    dev_decode_scores,
     load_checkpoint,
     make_checkpoint,
     preset_config,
@@ -47,29 +52,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CHECKPOINT = 4
 
-_INT_KEYS = {
-    "dim",
-    "vocab_size",
-    "batch_size",
-    "max_epochs",
-    "seed",
-    "max_sentence_length",
-    "max_decode_len",
-}
-_FLOAT_KEYS = {
-    "lr",
-    "beta1",
-    "beta2",
-    "adam_eps",
-    "dropout",
-    "sari_bleu_threshold",
-    "clip_norm",
-    "forget_bias",
-}
-_STR_KEYS = {"encoder_kind", "tune_metric"}
-_BOOL_KEYS = {"length_normalize", "bucket"}
-_TUPLE_KEYS = {"beam_sizes"}
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS | _TUPLE_KEYS
+# Config keys are the TrainConfig fields; each value is parsed as its field's type.
+CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(TrainConfig))
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
 PATH_KEYS = ("train_src", "train_tgt", "dev_src", "dev_tgt", "embeddings", "out")
 
 
@@ -101,21 +86,21 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(key: str, value: str):
+    kind = _FIELD_TYPES[key]
+    if type(None) in typing.get_args(kind):  # ``lr: float | None`` given a value
+        kind = next(t for t in typing.get_args(kind) if t is not type(None))
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = value.lower()
             if low in ("true", "1", "yes"):
                 return True
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        if key in _TUPLE_KEYS:
-            return tuple(int(x.strip()) for x in value.split(",") if x.strip())
-        return value
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(item(x.strip()) for x in value.split(",") if x.strip())
+        return kind(value)
     except ValueError as e:
         raise ConfigError(f"config key {key!r}: {e}") from e
 
@@ -174,17 +159,6 @@ def _read_lines(path):
             return f.read().splitlines()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
-
-
-def _decode_tokens(model, src_tokens, src_vocab, tgt_vocab, beam, max_len, length_normalize):
-    if not src_tokens:
-        return []
-    session = DecodeSession(model, src_vocab.encode(src_tokens))
-    if beam == 1:
-        hyp = greedy_decode(session, max_len)
-    else:
-        hyp = beam_decode(session, beam, max_len, length_normalize)
-    return replace_unks(hyp, src_tokens, tgt_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +302,7 @@ def cmd_simplify(ns) -> int:
         raise ConfigError("beam and max-len must be at least 1")
     for line in _read_lines(ns.input):
         tokens = line.split()
-        out = _decode_tokens(
+        out = decode_tokens(
             model,
             tokens,
             ckpt.src_vocab,
@@ -363,20 +337,16 @@ def cmd_evaluate(ns) -> int:
     references = load_references(ns.refs, expected=len(sources))
     rows = []
     for beam in beams:
-        instances = []
-        for src_tokens, refs in zip(sources, references):
-            out = _decode_tokens(
-                model,
-                src_tokens,
-                ckpt.src_vocab,
-                ckpt.tgt_vocab,
-                beam,
-                ns.max_len,
-                ns.length_normalize,
-            )
-            instances.append(EvalInstance(source=src_tokens, output=out, references=refs))
-        bleu = bleu_corpus(instances).score
-        sari = sari_corpus(instances).score
+        bleu, sari = dev_decode_scores(
+            model,
+            sources,
+            references,
+            ckpt.src_vocab,
+            ckpt.tgt_vocab,
+            ns.max_len,
+            beam,
+            ns.length_normalize,
+        )
         rows.append((beam, bleu, sari))
         _err(f"decoded beam={beam}")
     best_bleu = max(range(len(rows)), key=lambda i: rows[i][1])
@@ -445,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model and write checkpoints")
     p_train.add_argument("--config", help="key=value config file")
-    p_train.add_argument("--preset", choices=("newsela", "wikismall", "wikilarge"))
-    p_train.add_argument("--encoder", choices=("lstm", "nse"))
+    p_train.add_argument("--preset", choices=sorted(PRESETS))
+    p_train.add_argument("--encoder", choices=ENCODER_KINDS)
     p_train.add_argument("--train-src", dest="train_src")
     p_train.add_argument("--train-tgt", dest="train_tgt")
     p_train.add_argument("--dev-src", dest="dev_src")
@@ -503,7 +473,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return ns.func(ns)
-    except (ConfigError, UsageError) as e:
+    except (ConfigError, UsageError, NumericError) as e:
         _err(f"error: {e}")
         return EXIT_USAGE
     except DataError as e:

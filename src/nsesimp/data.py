@@ -29,9 +29,8 @@ EOS_TOKEN = "</s>"
 
 RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN)
 
-# Published average tokens-per-sentence (source, target) for the three
-# benchmark corpora; ingestion reports its own numbers next to these so
-# misformatted data stands out immediately.
+# Published average tokens per sentence (source, target) of the three
+# benchmark corpora: the sentence lengths that "paper scale" refers to.
 REFERENCE_CORPUS_STATS = {
     "newsela": (25.94, 15.89),
     "wikismall": (24.26, 20.33),
@@ -69,21 +68,6 @@ class Vocabulary:
             if t not in RESERVED_TOKENS:
                 id_to_token.append(t)
         return Vocabulary(id_to_token, {t: i for i, t in enumerate(id_to_token)})
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for t in self.id_to_token:
-                f.write(t + "\n")
-
-    @staticmethod
-    def load(path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f]
-        while lines and lines[-1] == "":
-            lines.pop()
-        if lines[:4] != list(RESERVED_TOKENS):
-            raise FormatError(f"vocabulary file {path} lacks the reserved header rows")
-        return Vocabulary(lines, {t: i for i, t in enumerate(lines)})
 
 
 def build_vocab(sentences: Iterable[Sequence[str]], cap: int) -> Vocabulary:
@@ -123,18 +107,6 @@ class ParallelCorpus:
 
     def target_sentences(self):
         return [tgt for _, tgt in self.pairs]
-
-    def stats(self) -> dict:
-        n = len(self.pairs)
-        src_tokens = sum(len(s) for s, _ in self.pairs)
-        tgt_tokens = sum(len(t) for _, t in self.pairs)
-        return {
-            "pairs": n,
-            "avg_src_tokens": src_tokens / n if n else 0.0,
-            "avg_tgt_tokens": tgt_tokens / n if n else 0.0,
-            "dropped_empty": self.dropped_empty,
-            "length_filtered": self.length_filtered,
-        }
 
 
 def load_parallel(src_path, tgt_path, max_len: int | None = None) -> ParallelCorpus:
@@ -229,13 +201,12 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, dim: int, rng: np.random
 class Batch:
     """Padded id arrays for one training step.
 
-    ``tgt_in`` rows start with the sentence-begin id; ``tgt_out`` rows end
-    with sentence-end.  Masks are 1.0 at real positions, 0.0 at padding.
+    ``tgt_out`` rows end with sentence-end.  Masks are 1.0 at real
+    positions, 0.0 at padding.
     """
 
     src: np.ndarray
     src_mask: np.ndarray
-    tgt_in: np.ndarray
     tgt_out: np.ndarray
     tgt_mask: np.ndarray
 
@@ -246,10 +217,6 @@ class Batch:
     def src_ids(self, i: int) -> list[int]:
         n = int(self.src_mask[i].sum())
         return [int(x) for x in self.src[i, :n]]
-
-    def tgt_in_ids(self, i: int) -> list[int]:
-        n = int(self.tgt_mask[i].sum())
-        return [int(x) for x in self.tgt_in[i, :n]]
 
     def tgt_out_ids(self, i: int) -> list[int]:
         n = int(self.tgt_mask[i].sum())
@@ -294,18 +261,14 @@ def batches(
         groups = [order[i : i + batch_size] for i in range(0, n, batch_size)]
     out = []
     for group in groups:
-        srcs, tgt_ins, tgt_outs = [], [], []
+        srcs, tgt_outs = [], []
         for i in group:
             src, tgt = corpus.pairs[i]
             s = src_vocab.encode(src)
             t = tgt_vocab.encode(tgt)
             srcs.append(s)
-            tgt_ins.append([BOS_ID] + t)
             tgt_outs.append(t + [EOS_ID])
         src_arr, src_mask = _pad(srcs)
-        in_arr, _ = _pad(tgt_ins)
         out_arr, out_mask = _pad(tgt_outs)
-        out.append(
-            Batch(src=src_arr, src_mask=src_mask, tgt_in=in_arr, tgt_out=out_arr, tgt_mask=out_mask)
-        )
+        out.append(Batch(src=src_arr, src_mask=src_mask, tgt_out=out_arr, tgt_mask=out_mask))
     return out

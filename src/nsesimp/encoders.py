@@ -29,17 +29,13 @@ class EncoderOutput:
 
     ``states``: [T, D] matrix attended over by the decoder.
     ``final_h`` / ``final_c``: last hidden/cell state for decoder init.
-    ``memory``: final memory matrix (memory encoder only).
     ``slot_weights``: per-step memory attention rows, kept when tracing.
-    ``memory_steps``: per-step memory snapshots, kept when tracing.
     """
 
     states: Tensor
     final_h: Tensor
     final_c: Tensor
-    memory: Tensor | None = None
     slot_weights: list[np.ndarray] = field(default_factory=list)
-    memory_steps: list[np.ndarray] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +194,7 @@ def nse_encode(
     The memory starts as the embedding matrix itself.  Dropout (training
     only) touches the read-LSTM inputs and the emitted state rows; the
     memory and the recurrent paths stay clean.  With ``keep_trace`` the
-    per-step attention rows and memory snapshots are recorded for
-    inspection.
+    per-step memory attention rows are recorded for inspection.
     """
     if embeddings.data.ndim != 2:
         raise DimensionError("encoder expects a [T, D] embedding matrix")
@@ -210,7 +205,6 @@ def nse_encode(
     state = nse_initial_state(embeddings, H)
     outputs = []
     slot_weights: list[np.ndarray] = []
-    memory_steps: list[np.ndarray] = []
     for t in range(T):
         x = ad.row(embeddings, t)
         if training and dropout_rate > 0.0:
@@ -222,12 +216,9 @@ def nse_encode(
         outputs.append(out_row)
         if keep_trace:
             slot_weights.append(weights.data.copy())
-            memory_steps.append(state.memory.data.copy())
     return EncoderOutput(
         states=ad.stack_rows(outputs),
         final_h=state.write_h,
         final_c=state.write_c,
-        memory=state.memory,
         slot_weights=slot_weights,
-        memory_steps=memory_steps,
     )

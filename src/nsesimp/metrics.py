@@ -61,16 +61,6 @@ class SariReport:
     delete: float
 
 
-@dataclass
-class MetricReport:
-    bleu: float
-    sari: float
-    sari_add: float
-    sari_keep: float
-    sari_delete: float
-    instances: int
-
-
 def ngram_profile(tokens: Sequence[str], n: int) -> Counter:
     """Multiset of contiguous n-grams as tuples; empty when len < n."""
     if n < 1:
@@ -205,18 +195,4 @@ def sari_corpus(instances: Sequence[EvalInstance]) -> SariReport:
         add=sum(r.add for r in reports) / n,
         keep=sum(r.keep for r in reports) / n,
         delete=sum(r.delete for r in reports) / n,
-    )
-
-
-def score_corpus(instances: Sequence[EvalInstance], smooth: bool = False) -> MetricReport:
-    """Both metrics in one report."""
-    bleu = bleu_corpus(instances, smooth=smooth)
-    sari = sari_corpus(instances)
-    return MetricReport(
-        bleu=bleu.score,
-        sari=sari.score,
-        sari_add=sari.add,
-        sari_keep=sari.keep,
-        sari_delete=sari.delete,
-        instances=len(instances),
     )

@@ -73,12 +73,8 @@ def greedy_decode(session, max_len: int = 100) -> Hypothesis:
 
 
 def beam_decode(
-    session,
-    beam: int,
-    max_len: int = 100,
-    length_normalize: bool = False,
-    return_beam: bool = False,
-):
+    session, beam: int, max_len: int = 100, length_normalize: bool = False
+) -> Hypothesis:
     """Breadth-limited search over cumulative log-probability.
 
     Each step every live hypothesis proposes its top-``beam`` tokens; the
@@ -129,13 +125,7 @@ def beam_decode(
         if not live:
             break
     pool = finished if finished else live
-    best = max(pool, key=lambda h: _selection_key(h, length_normalize))
-    if not return_beam:
-        return best
-    ranked = sorted(
-        finished + live, key=lambda h: -_selection_key(h, length_normalize)
-    )
-    return best, ranked
+    return max(pool, key=lambda h: _selection_key(h, length_normalize))
 
 
 def replace_unks(hyp: Hypothesis, source_tokens, vocab: Vocabulary) -> list[str]:

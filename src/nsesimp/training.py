@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import BOS_ID, EOS_ID, PAD_ID, ParallelCorpus, Vocabulary, batches
-from .errors import ConfigError, FormatError, UsageError
+from .data import BOS_ID, EOS_ID, PAD_ID, ParallelCorpus, Vocabulary, batches, build_vocab
+from .errors import ConfigError, FormatError, NumericError, UsageError
 from .metrics import EvalInstance, bleu_corpus, sari_corpus
-from .model import DecodeSession, Model, build_model, encode, teacher_logits
-from .search import greedy_decode, replace_unks
+from .model import ENCODER_KINDS, DecodeSession, Model, build_model, encode, teacher_logits
+from .search import beam_decode, greedy_decode, replace_unks
 
 # ---------------------------------------------------------------------------
 # loss
@@ -191,7 +191,6 @@ class TrainConfig:
     max_sentence_length: int = 100
     max_decode_len: int = 100
     beam_sizes: tuple[int, ...] = (5, 10)
-    length_normalize: bool = False
     bucket: bool = False
 
     def resolved_lr(self) -> float:
@@ -200,8 +199,10 @@ class TrainConfig:
         return 0.001 if self.encoder_kind == "lstm" else 0.0003
 
     def validate(self) -> None:
-        if self.encoder_kind not in ("lstm", "nse"):
-            raise ConfigError(f"encoder_kind must be lstm or nse, got {self.encoder_kind!r}")
+        if self.encoder_kind not in ENCODER_KINDS:
+            raise ConfigError(
+                f"encoder_kind must be {' or '.join(ENCODER_KINDS)}, got {self.encoder_kind!r}"
+            )
         if self.dim < 1:
             raise ConfigError(f"dim {self.dim} must be positive")
         if self.vocab_size <= 4:
@@ -486,7 +487,7 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported format version {version}", offset=4)
     encoder_kind = r.string("encoder kind")
-    if encoder_kind not in ("lstm", "nse"):
+    if encoder_kind not in ENCODER_KINDS:
         raise FormatError(f"unknown encoder kind {encoder_kind!r}")
     dim = r.u32("dim")
     epoch = r.u32("epoch")
@@ -539,20 +540,50 @@ class TrainResult:
     adam: AdamState
 
 
+def decode_tokens(
+    model: Model,
+    src_tokens,
+    src_vocab: Vocabulary,
+    tgt_vocab: Vocabulary,
+    beam: int = 1,
+    max_len: int = 100,
+    length_normalize: bool = False,
+) -> list[str]:
+    """Decode one tokenized source, filling unknown outputs from the source.
+
+    Beam 1 is greedy decoding; an empty source decodes to no tokens.
+    """
+    if not src_tokens:
+        return []
+    session = DecodeSession(model, src_vocab.encode(src_tokens))
+    if beam == 1:
+        hyp = greedy_decode(session, max_len)
+    else:
+        hyp = beam_decode(session, beam, max_len, length_normalize)
+    return replace_unks(hyp, src_tokens, tgt_vocab)
+
+
 def dev_decode_scores(
     model: Model,
-    dev_corpus: ParallelCorpus,
+    sources,
+    references,
     src_vocab: Vocabulary,
     tgt_vocab: Vocabulary,
     max_decode_len: int,
+    beam: int = 1,
+    length_normalize: bool = False,
 ):
-    """Greedy-decode the dev set and return (BLEU, SARI) against targets."""
-    instances = []
-    for src_tokens, tgt_tokens in dev_corpus.pairs:
-        session = DecodeSession(model, src_vocab.encode(src_tokens))
-        hyp = greedy_decode(session, max_decode_len)
-        out = replace_unks(hyp, src_tokens, tgt_vocab)
-        instances.append(EvalInstance(source=src_tokens, output=out, references=[tgt_tokens]))
+    """Decode every source and return corpus (BLEU, SARI) against its references."""
+    instances = [
+        EvalInstance(
+            source=src_tokens,
+            output=decode_tokens(
+                model, src_tokens, src_vocab, tgt_vocab, beam, max_decode_len, length_normalize
+            ),
+            references=refs,
+        )
+        for src_tokens, refs in zip(sources, references)
+    ]
     return bleu_corpus(instances).score, sari_corpus(instances).score
 
 
@@ -574,15 +605,17 @@ def train(
 
     Passing ``model``/``adam``/``records``/``best`` from a previous result
     resumes training; ``epochs`` caps how many epochs this call runs,
-    which lets callers interleave their own convergence checks.
+    which lets callers interleave their own convergence checks.  A NaN or
+    Inf raises :class:`NumericError` naming the epoch and the batch (or the
+    dev decode) where it appeared.
     """
     config.validate()
     if len(train_corpus) == 0 or len(dev_corpus) == 0:
         raise ConfigError("training and development corpora must be non-empty")
     if src_vocab is None:
-        src_vocab = _vocab_for(train_corpus.source_sentences(), config.vocab_size)
+        src_vocab = build_vocab(train_corpus.source_sentences(), config.vocab_size)
     if tgt_vocab is None:
-        tgt_vocab = _vocab_for(train_corpus.target_sentences(), config.vocab_size)
+        tgt_vocab = build_vocab(train_corpus.target_sentences(), config.vocab_size)
     if model is None:
         model = build_model(
             config.encoder_kind,
@@ -599,6 +632,8 @@ def train(
     start = len(records)
     remaining = config.max_epochs - start
     n_epochs = remaining if epochs is None else min(epochs, remaining)
+    dev_sources = dev_corpus.source_sentences()
+    dev_references = [[tgt] for tgt in dev_corpus.target_sentences()]
 
     for e in range(start, start + n_epochs):
         t0 = time.perf_counter()
@@ -606,29 +641,38 @@ def train(
         dropout_rng = np.random.default_rng([config.seed, 2, e])
         total_nll = 0.0
         total_tokens = 0
-        for batch in batches(
-            train_corpus, src_vocab, tgt_vocab, config.batch_size, shuffle_rng, config.bucket
+        for b, batch in enumerate(
+            batches(
+                train_corpus, src_vocab, tgt_vocab, config.batch_size, shuffle_rng, config.bucket
+            ),
+            1,
         ):
-            model.zero_grads()
-            batch_tokens = int(batch.tgt_mask.sum())
-            for i in range(batch.size):
-                tgt = batch.tgt_out_ids(i)[:-1]  # drop the end marker
-                n_out = len(tgt) + 1
-                with Tape() as tape:
-                    mean_loss = sentence_loss(
-                        model, batch.src_ids(i), tgt, config.dropout, True, dropout_rng
-                    )
-                    contribution = ad.scale(mean_loss, n_out / batch_tokens)
-                backward(contribution, tape)
-                total_nll += mean_loss.item() * n_out
-                total_tokens += n_out
-            clip_global_norm(params, config.clip_norm)
-            adam_step(
-                params, adam, config.resolved_lr(), config.beta1, config.beta2, config.adam_eps
+            try:
+                model.zero_grads()
+                batch_tokens = int(batch.tgt_mask.sum())
+                for i in range(batch.size):
+                    tgt = batch.tgt_out_ids(i)[:-1]  # drop the end marker
+                    n_out = len(tgt) + 1
+                    with Tape() as tape:
+                        mean_loss = sentence_loss(
+                            model, batch.src_ids(i), tgt, config.dropout, True, dropout_rng
+                        )
+                        contribution = ad.scale(mean_loss, n_out / batch_tokens)
+                    backward(contribution, tape)
+                    total_nll += mean_loss.item() * n_out
+                    total_tokens += n_out
+                clip_global_norm(params, config.clip_norm)
+                adam_step(
+                    params, adam, config.resolved_lr(), config.beta1, config.beta2, config.adam_eps
+                )
+            except NumericError as err:
+                raise NumericError(f"epoch {e + 1}, batch {b}: {err}") from err
+        try:
+            dev_bleu, dev_sari = dev_decode_scores(
+                model, dev_sources, dev_references, src_vocab, tgt_vocab, config.max_decode_len
             )
-        dev_bleu, dev_sari = dev_decode_scores(
-            model, dev_corpus, src_vocab, tgt_vocab, config.max_decode_len
-        )
+        except NumericError as err:
+            raise NumericError(f"epoch {e + 1}, dev decode: {err}") from err
         record = EpochRecord(
             epoch=e + 1,
             mean_loss=total_nll / total_tokens,
@@ -664,9 +708,3 @@ def train(
         tgt_vocab=tgt_vocab,
         adam=adam,
     )
-
-
-def _vocab_for(sentences, cap):
-    from .data import build_vocab
-
-    return build_vocab(sentences, cap)

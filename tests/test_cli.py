@@ -1,15 +1,24 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
 import toy_tasks
-from nsesimp.cli import main, parse_config_file
-from nsesimp.model import DecodeSession, build_model
+from nsesimp.cli import apply_config_overrides, build_parser, echo_config, main, parse_config_file
+from nsesimp.model import ENCODER_KINDS, DecodeSession, build_model
 from nsesimp.search import greedy_decode, replace_unks
-from nsesimp.training import load_checkpoint, make_checkpoint, restore_model, save_checkpoint
+from nsesimp.training import (
+    PRESETS,
+    TrainConfig,
+    load_checkpoint,
+    make_checkpoint,
+    restore_model,
+    save_checkpoint,
+)
 
 
 def _write(path, lines):
@@ -86,6 +95,48 @@ def test_bad_config_value_exits_2(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("dim=three\n")
     assert main(["train", "--config", str(conf)]) == 2
+
+
+def test_echoed_config_parses_back_to_the_same_config(tmp_path, capsys):
+    config = TrainConfig(
+        encoder_kind="nse",
+        dim=7,
+        vocab_size=123,
+        lr=0.0125,
+        beta1=0.8,
+        beta2=0.99,
+        adam_eps=1e-7,
+        batch_size=3,
+        dropout=0.1,
+        max_epochs=2,
+        tune_metric="sari",
+        sari_bleu_threshold=12.5,
+        seed=9,
+        clip_norm=2.5,
+        forget_bias=0.5,
+        max_sentence_length=50,
+        max_decode_len=20,
+        beam_sizes=(3, 7),
+        bucket=True,
+    )
+    default = TrainConfig()
+    for f in dataclasses.fields(TrainConfig):
+        assert getattr(config, f.name) != getattr(default, f.name), f.name
+    capsys.readouterr()
+    echo_config(config, {})
+    conf = tmp_path / "echo.conf"
+    conf.write_text(capsys.readouterr().err, encoding="utf-8")
+    assert apply_config_overrides(TrainConfig(), parse_config_file(conf)) == config
+
+
+def _train_option(dest):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["train"]._actions if a.dest == dest)
+
+
+def test_encoder_and_preset_choices_come_from_their_single_lists():
+    assert tuple(_train_option("encoder").choices) == ENCODER_KINDS
+    assert list(_train_option("preset").choices) == sorted(PRESETS)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +235,48 @@ def test_train_config_file_can_supply_paths(tmp_path, corpus_files, capsys):
     assert main(["train", "--config", str(conf)]) == 0
     capsys.readouterr()
     assert (tmp_path / "out" / "best.ckpt").exists()
+
+
+def test_train_from_the_readme_config_example(tmp_path, corpus_files, capsys):
+    # the keys of the README's --config example, with a small model and run
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        "\n".join(
+            [
+                "encoder_kind = nse",
+                "dim = 6",
+                "lr = 0.0003",
+                "max_epochs = 1",
+                f"train_src = {corpus_files['train_src']}",
+                f"train_tgt = {corpus_files['train_tgt']}",
+                f"dev_src = {corpus_files['dev_src']}",
+                f"dev_tgt = {corpus_files['dev_tgt']}",
+                f"out = {tmp_path / 'out'}",
+            ]
+        )
+        + "\n"
+    )
+    assert main(["train", "--config", str(conf)]) == 0
+    assert "encoder_kind=nse" in capsys.readouterr().err
+    assert load_checkpoint(tmp_path / "out" / "best.ckpt").encoder_kind == "nse"
+
+
+# the diverging run overflows inside numpy before the NaN/Inf guard raises
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_diverged_run_exits_2_naming_the_epoch(tmp_path, corpus_files, capsys):
+    code = main(
+        _train_args(
+            corpus_files,
+            tmp_path / "nan",
+            ["--dim", "8", "--lr", "1e300", "--epochs", "3", "--batch-size", "8"],
+        )
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: epoch 1, ")
+    assert "NaN or Inf" in errors[0]
+    assert "Traceback" not in captured.err
 
 
 def test_train_preset_echoes_recipe(tmp_path, corpus_files, capsys):

@@ -139,7 +139,6 @@ class TestNseEncoder:
         p = encoders.NseEncoderParams.create(3, rng)
         out = encoders.nse_encode(p, make_embeddings(rng, T=5, D=3))
         assert out.states.shape == (5, 3)
-        assert out.memory.shape == (5, 3)
         assert out.final_h.shape == (3,)
 
     def test_trace_collection(self):
@@ -147,10 +146,9 @@ class TestNseEncoder:
         p = encoders.NseEncoderParams.create(3, rng)
         emb = make_embeddings(rng, T=4, D=3)
         plain = encoders.nse_encode(p, emb)
-        assert plain.slot_weights == [] and plain.memory_steps == []
+        assert plain.slot_weights == []
         traced = encoders.nse_encode(p, emb, keep_trace=True)
         assert len(traced.slot_weights) == 4
-        assert len(traced.memory_steps) == 4
         for w in traced.slot_weights:
             assert w.shape == (4,)
             assert abs(w.sum() - 1.0) <= 1e-12

@@ -25,7 +25,6 @@ from nsesimp.metrics import (
     ngram_profile,
     sari_corpus,
     sari_instance,
-    score_corpus,
 )
 
 
@@ -242,13 +241,3 @@ class TestSari:
     def test_empty_instance_list(self):
         with pytest.raises(UsageError):
             sari_corpus([])
-
-
-class TestScoreCorpus:
-    def test_combined_report(self):
-        rng = np.random.default_rng(7)
-        instances = _random_instances(rng, 10, with_source=True)
-        report = score_corpus(instances)
-        assert report.instances == 10
-        assert report.bleu == bleu_corpus(instances).score
-        assert report.sari == sari_corpus(instances).score

@@ -52,13 +52,13 @@ class TestEncodeDispatch:
         m = M.build_model("lstm", 4, 7, 7, np.random.default_rng(3))
         enc = M.encode(m, [4, 5, 6])
         assert enc.states.shape == (3, 4)
-        assert enc.memory is None
+        assert enc.slot_weights == []
 
     def test_nse_exposes_memory(self):
         m = M.build_model("nse", 4, 7, 7, np.random.default_rng(4))
         enc = M.encode(m, [4, 5, 6], keep_trace=True)
-        assert enc.memory.shape == (3, 4)
         assert len(enc.slot_weights) == 3
+        assert all(w.shape == (3,) for w in enc.slot_weights)
 
 
 class TestTeacherLogits:

@@ -218,13 +218,6 @@ class TestBeamSearch:
             assert EOS_ID not in hyp.tokens
             assert len(hyp.tokens) <= 6
 
-    def test_return_beam_ranked(self):
-        session = MarkovSession(suboptimal_greedy_table())
-        best, ranked = beam_decode(session, beam=3, max_len=3, return_beam=True)
-        assert ranked[0].tokens == best.tokens
-        scores = [h.score for h in ranked]
-        assert scores == sorted(scores, reverse=True)
-
     def test_bad_beam(self):
         session = MarkovSession(np.full((5, 5), 0.2))
         with pytest.raises(ConfigError):

@@ -10,10 +10,11 @@ import oracles
 import toy_tasks
 from nsesimp import autodiff as ad
 from nsesimp.autodiff import Tape, Tensor, backward, grad_check
-from nsesimp.data import PAD_ID, build_vocab
+from nsesimp.data import PAD_ID, UNK_ID, build_vocab
 from nsesimp.errors import ConfigError, FormatError, UsageError
+from nsesimp.metrics import EvalInstance, bleu_corpus, sari_corpus
 from nsesimp.model import DecodeSession, build_model
-from nsesimp.search import greedy_decode
+from nsesimp.search import beam_decode, greedy_decode, replace_unks
 from nsesimp.training import (
     AdamState,
     Checkpoint,
@@ -21,6 +22,8 @@ from nsesimp.training import (
     TrainConfig,
     adam_step,
     clip_global_norm,
+    decode_tokens,
+    dev_decode_scores,
     load_checkpoint,
     make_checkpoint,
     preset_config,
@@ -531,6 +534,41 @@ def test_checkpoint_vocab_without_reserved_header_rejected(tmp_path):
     save_checkpoint(broken, path)
     with pytest.raises(FormatError, match="reserved"):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# decoding and scoring
+
+
+@pytest.mark.parametrize("kind", ["lstm", "nse"])
+@pytest.mark.parametrize("beam", [1, 3])
+def test_dev_decode_scores_matches_a_local_decode_loop(kind, beam):
+    model, corpus, src_vocab, tgt_vocab = _small_setup(kind=kind, dim=6, seed=4)
+    # a sharper output layer makes beam 3 find other outputs than greedy, and
+    # favouring the unknown token makes replacement from the source happen
+    model.decoder.out_w.data *= 30.0
+    model.decoder.out_b.data[UNK_ID] += 1.0
+    sources = [src + ["zz-unseen"] for src, _ in corpus.pairs[:6]]
+    references = [[tgt, tgt[::-1]] for _, tgt in corpus.pairs[:6]]
+    instances = []
+    for src, refs in zip(sources, references):
+        session = DecodeSession(model, src_vocab.encode(src))
+        if beam == 1:
+            hyp = greedy_decode(session, 7)
+        else:
+            hyp = beam_decode(session, beam, 7)
+        out = replace_unks(hyp, src, tgt_vocab)
+        instances.append(EvalInstance(source=src, output=out, references=refs))
+    assert any("zz-unseen" in i.output for i in instances)
+    want = (bleu_corpus(instances).score, sari_corpus(instances).score)
+    got = dev_decode_scores(model, sources, references, src_vocab, tgt_vocab, 7, beam)
+    assert got == want
+
+
+def test_decode_tokens_of_empty_source_is_empty():
+    model, _, src_vocab, tgt_vocab = _small_setup()
+    assert decode_tokens(model, [], src_vocab, tgt_vocab) == []
+    assert decode_tokens(model, [], src_vocab, tgt_vocab, beam=3) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Synthetic corpora and scoring helpers shared by training tests.
+"""Synthetic corpora shared by training tests.
 
 Two miniature tasks exercise the full stack end to end: copying (the
 target repeats the source) and deletion (the target is the source with
@@ -9,8 +9,6 @@ they make good convergence probes.
 import numpy as np
 
 from nsesimp.data import ParallelCorpus, build_vocab
-from nsesimp.model import DecodeSession
-from nsesimp.search import greedy_decode, replace_unks
 
 COPY_WORDS = [f"w{i:02d}" for i in range(16)]  # 16 words + 4 reserved = 20 ids
 
@@ -49,14 +47,3 @@ def vocabs_for(corpus: ParallelCorpus, cap: int = 100):
     src_vocab = build_vocab(corpus.source_sentences(), cap)
     tgt_vocab = build_vocab(corpus.target_sentences(), cap)
     return src_vocab, tgt_vocab
-
-
-def exact_match_accuracy(model, corpus, src_vocab, tgt_vocab, max_len: int = 20) -> float:
-    """Fraction of pairs whose greedy decode reproduces the target exactly."""
-    hits = 0
-    for src, tgt in corpus.pairs:
-        session = DecodeSession(model, src_vocab.encode(src))
-        hyp = greedy_decode(session, max_len)
-        out = replace_unks(hyp, src, tgt_vocab)
-        hits += int(out == tgt)
-    return hits / len(corpus.pairs)
