@@ -32,13 +32,14 @@ from .data import (
     load_references,
 )
 from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
-from .model import ENCODER_KINDS, DecodeSession, build_model
+from .model import ENCODER_KINDS, DecodeSession
 from .search import greedy_decode, replace_unks
 from .training import (
     PRESETS,
     TrainConfig,
     decode_tokens,
     dev_decode_scores,
+    initial_model,
     load_checkpoint,
     make_checkpoint,
     preset_config,
@@ -121,8 +122,7 @@ def echo_config(config: TrainConfig, extras: dict) -> None:
         if isinstance(value, tuple):
             value = ",".join(str(x) for x in value)
         _err(f"{f.name}={value}")
-    for key in sorted(extras):
-        _err(f"{key}={extras[key]}")
+    echo_options(extras)
 
 
 def echo_options(options: dict) -> None:
@@ -224,14 +224,7 @@ def cmd_train(ns) -> int:
 
     src_vocab = build_vocab(train_corpus.source_sentences(), config.vocab_size)
     tgt_vocab = build_vocab(train_corpus.target_sentences(), config.vocab_size)
-    model = build_model(
-        config.encoder_kind,
-        config.dim,
-        src_vocab.size,
-        tgt_vocab.size,
-        np.random.default_rng([config.seed, 0]),
-        forget_bias=config.forget_bias,
-    )
+    model = initial_model(config, src_vocab.size, tgt_vocab.size)
     if paths["embeddings"]:
         try:
             table, hit_rate = load_pretrained_embeddings(
@@ -374,7 +367,7 @@ def cmd_inspect(ns) -> int:
         tokens = lines[0].split() if lines else []
     if not tokens:
         raise ConfigError("no sentence to inspect")
-    session = DecodeSession(model, ckpt.src_vocab.encode(tokens), keep_trace=True)
+    session = DecodeSession(model, ckpt.src_vocab.encode(tokens))
     hyp = greedy_decode(session, ns.max_len)
     out_tokens = replace_unks(hyp, tokens, ckpt.tgt_vocab)
 

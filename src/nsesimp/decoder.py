@@ -82,10 +82,9 @@ class DecoderState:
     h2: Tensor
     c2: Tensor
     prev_token: int
-    step: int
 
     def advanced(self, token: int) -> "DecoderState":
-        return replace(self, prev_token=token, step=self.step + 1)
+        return replace(self, prev_token=token)
 
 
 def attend(s_prev: Tensor, states: Tensor):
@@ -104,7 +103,7 @@ def init_decoder(p: DecoderParams, enc: EncoderOutput) -> DecoderState:
     """Start state: tanh(map(final encoder h/c)), shared across both layers."""
     h0 = ad.tanh(ad.matmul(p.init_h, enc.final_h))
     c0 = ad.tanh(ad.matmul(p.init_c, enc.final_c))
-    return DecoderState(h1=h0, c1=c0, h2=h0, c2=c0, prev_token=BOS_ID, step=0)
+    return DecoderState(h1=h0, c1=c0, h2=h0, c2=c0, prev_token=BOS_ID)
 
 
 def decoder_recurrence(
@@ -131,9 +130,7 @@ def decoder_recurrence(
     if training and dropout_rate > 0.0:
         mid = ad.dropout(mid, dropout_rate, training, rng)
     h2, c2 = layers.lstm_step(p.layer2, mid, state.h2, state.c2)
-    new_state = DecoderState(
-        h1=h1, c1=c1, h2=h2, c2=c2, prev_token=state.prev_token, step=state.step
-    )
+    new_state = DecoderState(h1=h1, c1=c1, h2=h2, c2=c2, prev_token=state.prev_token)
     return new_state, alpha, ad.concat(h2, context)
 
 

@@ -25,11 +25,11 @@ from .errors import DimensionError, UsageError
 
 @dataclass
 class EncoderOutput:
-    """What a decoder needs from an encoder, plus optional inspection extras.
+    """What a decoder needs from an encoder, plus the memory trace for inspection.
 
     ``states``: [T, D] matrix attended over by the decoder.
     ``final_h`` / ``final_c``: last hidden/cell state for decoder init.
-    ``slot_weights``: per-step memory attention rows, kept when tracing.
+    ``slot_weights``: per-step memory attention rows (memory encoder only).
     """
 
     states: Tensor
@@ -187,14 +187,13 @@ def nse_encode(
     dropout_rate: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    keep_trace: bool = False,
 ) -> EncoderOutput:
     """Encode a sequence with the memory encoder.
 
     The memory starts as the embedding matrix itself.  Dropout (training
     only) touches the read-LSTM inputs and the emitted state rows; the
-    memory and the recurrent paths stay clean.  With ``keep_trace`` the
-    per-step memory attention rows are recorded for inspection.
+    memory and the recurrent paths stay clean.  The per-step memory
+    attention rows are returned for inspection.
     """
     if embeddings.data.ndim != 2:
         raise DimensionError("encoder expects a [T, D] embedding matrix")
@@ -214,8 +213,7 @@ def nse_encode(
         if training and dropout_rate > 0.0:
             out_row = ad.dropout(out_row, dropout_rate, training, rng)
         outputs.append(out_row)
-        if keep_trace:
-            slot_weights.append(weights.data.copy())
+        slot_weights.append(weights.data)
     return EncoderOutput(
         states=ad.stack_rows(outputs),
         final_h=state.write_h,

@@ -15,7 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
-from .data import Vocabulary
 from .decoder import (
     DecoderParams,
     DecoderState,
@@ -106,12 +105,11 @@ def encode(
     dropout_rate: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    keep_trace: bool = False,
 ) -> EncoderOutput:
     emb = layers.embed(model.src_embed, src_ids)
     if model.encoder_kind == "lstm":
         return lstm_encode(model.encoder, emb, dropout_rate, training, rng)
-    return nse_encode(model.encoder, emb, dropout_rate, training, rng, keep_trace)
+    return nse_encode(model.encoder, emb, dropout_rate, training, rng)
 
 
 def teacher_logits(
@@ -150,9 +148,9 @@ class DecodeSession:
     lets beam search reuse one forward pass for several candidate tokens.
     """
 
-    def __init__(self, model: Model, src_ids, keep_trace: bool = False):
+    def __init__(self, model: Model, src_ids):
         self.model = model
-        self.encoder_output = encode(model, src_ids, keep_trace=keep_trace)
+        self.encoder_output = encode(model, src_ids)
 
     def start(self) -> DecoderState:
         return init_decoder(self.model.decoder, self.encoder_output)

@@ -15,6 +15,8 @@ Ties always resolve to the earliest epoch.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -287,13 +289,6 @@ CHECKPOINT_VERSION = 1
 
 
 @dataclass
-class AdamSnapshot:
-    t: int
-    m: list[np.ndarray]  # float32
-    v: list[np.ndarray]  # float32
-
-
-@dataclass
 class Checkpoint:
     """Everything needed to resume or serve a model, in 32-bit storage."""
 
@@ -302,7 +297,7 @@ class Checkpoint:
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
     params: list[tuple[str, np.ndarray]]  # float32 arrays
-    adam: AdamSnapshot | None = None
+    adam: AdamState | None = None  # float32 moments
     epoch: int = 0
     dev_bleu: float = 0.0
     dev_sari: float = 0.0
@@ -318,12 +313,11 @@ def make_checkpoint(
     dev_sari: float = 0.0,
 ) -> Checkpoint:
     params = [(name, t.data.astype(np.float32)) for name, t in model.named_params()]
-    snap = None
     if adam is not None:
-        snap = AdamSnapshot(
-            t=adam.t,
+        adam = AdamState(
             m=[a.astype(np.float32) for a in adam.m],
             v=[a.astype(np.float32) for a in adam.v],
+            t=adam.t,
         )
     return Checkpoint(
         encoder_kind=model.encoder_kind,
@@ -331,7 +325,7 @@ def make_checkpoint(
         src_vocab=src_vocab,
         tgt_vocab=tgt_vocab,
         params=params,
-        adam=snap,
+        adam=adam,
         epoch=epoch,
         dev_bleu=dev_bleu,
         dev_sari=dev_sari,
@@ -359,7 +353,7 @@ def restore_model(ckpt: Checkpoint) -> Model:
             raise FormatError(
                 f"parameter {got_name!r} has shape {arr.shape}, expected {tensor.shape}"
             )
-        tensor.data = arr.astype(np.float64)
+        np.copyto(tensor.data, arr)
     return model
 
 
@@ -373,63 +367,67 @@ def restore_adam(ckpt: Checkpoint) -> AdamState | None:
     )
 
 
-class _Writer:
-    def __init__(self):
-        self.buf = bytearray()
+def _write_string(f, s: str) -> None:
+    data = s.encode("utf-8")
+    f.write(struct.pack("<I", len(data)))
+    f.write(data)
 
-    def raw(self, b: bytes):
-        self.buf += b
 
-    def u8(self, x: int):
-        self.buf += struct.pack("<B", x)
+def _write_array(f, arr: np.ndarray) -> None:
+    f.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
+    f.write(np.ascontiguousarray(arr, "<f4").data)
 
-    def u32(self, x: int):
-        self.buf += struct.pack("<I", x)
 
-    def u64(self, x: int):
-        self.buf += struct.pack("<Q", x)
-
-    def f64(self, x: float):
-        self.buf += struct.pack("<d", x)
-
-    def string(self, s: str):
-        data = s.encode("utf-8")
-        self.u32(len(data))
-        self.buf += data
-
-    def f32_array(self, arr: np.ndarray):
-        self.u32(arr.ndim)
-        for d in arr.shape:
-            self.u32(d)
-        self.buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` to ``path`` section by section, with no staging copy."""
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        _write_string(f, ckpt.encoder_kind)
+        f.write(struct.pack("<IIdd", ckpt.dim, ckpt.epoch, ckpt.dev_bleu, ckpt.dev_sari))
+        for vocab in (ckpt.src_vocab, ckpt.tgt_vocab):
+            f.write(struct.pack("<I", vocab.size))
+            for token in vocab.id_to_token:
+                _write_string(f, token)
+        f.write(struct.pack("<I", len(ckpt.params)))
+        for name, arr in ckpt.params:
+            _write_string(f, name)
+            _write_array(f, arr)
+        if ckpt.adam is None:
+            f.write(b"\x00")
+        else:
+            f.write(struct.pack("<BQ", 1, ckpt.adam.t))
+            for arr in ckpt.adam.m + ckpt.adam.v:
+                _write_array(f, arr)
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads checkpoint fields from an open file, tracking the byte offset.
+
+    Every read is checked against the file size first, so a truncated file
+    or a corrupt length raises :class:`FormatError` at the field's offset
+    before anything of the claimed size is allocated.
+    """
+
+    def __init__(self, f):
+        self.f = f
         self.pos = 0
+        self.size = os.fstat(f.fileno()).st_size
+
+    def _claim(self, n: int, what: str) -> None:
+        if self.pos + n > self.size:
+            raise FormatError(f"file truncated while reading {what}", offset=self.pos)
+        self.pos += n
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"file truncated while reading {what}", offset=self.pos)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self._claim(n, what)
+        return self.f.read(n)
 
-    def u8(self, what: str) -> int:
-        return struct.unpack("<B", self.take(1, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.take(8, what))[0]
+    def unpack(self, fmt: str, what: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
     def string(self, what: str) -> str:
-        n = self.u32(f"{what} length")
+        n = self.unpack("<I", f"{what} length")
         at = self.pos
         try:
             return self.take(n, what).decode("utf-8")
@@ -437,82 +435,52 @@ class _Reader:
             raise FormatError(f"{what} is not valid UTF-8", offset=at) from e
 
     def f32_array(self, what: str) -> np.ndarray:
-        rank = self.u32(f"{what} rank")
+        rank = self.unpack("<I", f"{what} rank")
         if rank > 8:
             raise FormatError(f"{what} has implausible rank {rank}", offset=self.pos - 4)
-        shape = tuple(self.u32(f"{what} dim") for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(count * 4, f"{what} data")
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
-
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    w = _Writer()
-    w.raw(CHECKPOINT_MAGIC)
-    w.u32(CHECKPOINT_VERSION)
-    w.string(ckpt.encoder_kind)
-    w.u32(ckpt.dim)
-    w.u32(ckpt.epoch)
-    w.f64(ckpt.dev_bleu)
-    w.f64(ckpt.dev_sari)
-    for vocab in (ckpt.src_vocab, ckpt.tgt_vocab):
-        w.u32(vocab.size)
-        for token in vocab.id_to_token:
-            w.string(token)
-    w.u32(len(ckpt.params))
-    for name, arr in ckpt.params:
-        w.string(name)
-        w.f32_array(arr)
-    if ckpt.adam is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        w.u64(ckpt.adam.t)
-        for arr in ckpt.adam.m:
-            w.f32_array(arr)
-        for arr in ckpt.adam.v:
-            w.f32_array(arr)
-    with open(path, "wb") as f:
-        f.write(bytes(w.buf))
+        shape = tuple(self.unpack("<I", f"{what} dim") for _ in range(rank))
+        self._claim(4 * math.prod(shape), f"{what} data")
+        arr = np.empty(shape, "<f4")
+        self.f.readinto(arr)
+        return arr
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
-        data = f.read()
-    r = _Reader(data)
-    magic = r.take(4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}", offset=0)
-    version = r.u32("version")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported format version {version}", offset=4)
-    encoder_kind = r.string("encoder kind")
-    if encoder_kind not in ENCODER_KINDS:
-        raise FormatError(f"unknown encoder kind {encoder_kind!r}")
-    dim = r.u32("dim")
-    epoch = r.u32("epoch")
-    dev_bleu = r.f64("dev bleu")
-    dev_sari = r.f64("dev sari")
-    vocabs = []
-    for side in ("source", "target"):
-        n = r.u32(f"{side} vocab size")
-        tokens = [r.string(f"{side} vocab token") for _ in range(n)]
-        if tokens[:4] != ["<pad>", "<unk>", "<s>", "</s>"]:
-            raise FormatError(f"{side} vocabulary lacks the reserved header tokens")
-        vocabs.append(Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}))
-    n_params = r.u32("parameter count")
-    params = []
-    for _ in range(n_params):
-        name = r.string("parameter name")
-        params.append((name, r.f32_array(f"parameter {name}")))
-    adam = None
-    if r.u8("optimizer flag"):
-        t = r.u64("optimizer step")
-        m = [r.f32_array("optimizer moment") for _ in range(n_params)]
-        v = [r.f32_array("optimizer moment") for _ in range(n_params)]
-        adam = AdamSnapshot(t=t, m=m, v=v)
-    if r.pos != len(data):
-        raise FormatError("unexpected trailing bytes", offset=r.pos)
+        r = _Reader(f)
+        magic = r.take(4, "magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"bad magic {magic!r}", offset=0)
+        version = r.unpack("<I", "version")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported format version {version}", offset=4)
+        encoder_kind = r.string("encoder kind")
+        if encoder_kind not in ENCODER_KINDS:
+            raise FormatError(f"unknown encoder kind {encoder_kind!r}")
+        dim = r.unpack("<I", "dim")
+        epoch = r.unpack("<I", "epoch")
+        dev_bleu = r.unpack("<d", "dev bleu")
+        dev_sari = r.unpack("<d", "dev sari")
+        vocabs = []
+        for side in ("source", "target"):
+            n = r.unpack("<I", f"{side} vocab size")
+            tokens = [r.string(f"{side} vocab token") for _ in range(n)]
+            if tokens[:4] != ["<pad>", "<unk>", "<s>", "</s>"]:
+                raise FormatError(f"{side} vocabulary lacks the reserved header tokens")
+            vocabs.append(Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}))
+        n_params = r.unpack("<I", "parameter count")
+        params = []
+        for _ in range(n_params):
+            name = r.string("parameter name")
+            params.append((name, r.f32_array(f"parameter {name}")))
+        adam = None
+        if r.unpack("<B", "optimizer flag"):
+            t = r.unpack("<Q", "optimizer step")
+            m = [r.f32_array("optimizer moment") for _ in range(n_params)]
+            v = [r.f32_array("optimizer moment") for _ in range(n_params)]
+            adam = AdamState(m=m, v=v, t=t)
+        if f.read(1):
+            raise FormatError("unexpected trailing bytes", offset=r.pos)
     return Checkpoint(
         encoder_kind=encoder_kind,
         dim=dim,
@@ -533,7 +501,7 @@ def load_checkpoint(path) -> Checkpoint:
 @dataclass
 class TrainResult:
     model: Model  # weights as of the last trained epoch
-    best: Checkpoint  # snapshot at the selected epoch
+    best: Checkpoint  # snapshot at the selected epoch, without optimizer state
     records: list[EpochRecord]
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
@@ -587,6 +555,18 @@ def dev_decode_scores(
     return bleu_corpus(instances).score, sari_corpus(instances).score
 
 
+def initial_model(config: TrainConfig, src_vocab_size: int, tgt_vocab_size: int) -> Model:
+    """The model a run starts from: initial weights drawn from ``config.seed``."""
+    return build_model(
+        config.encoder_kind,
+        config.dim,
+        src_vocab_size,
+        tgt_vocab_size,
+        np.random.default_rng([config.seed, 0]),
+        forget_bias=config.forget_bias,
+    )
+
+
 def train(
     config: TrainConfig,
     train_corpus: ParallelCorpus,
@@ -617,14 +597,7 @@ def train(
     if tgt_vocab is None:
         tgt_vocab = build_vocab(train_corpus.target_sentences(), config.vocab_size)
     if model is None:
-        model = build_model(
-            config.encoder_kind,
-            config.dim,
-            src_vocab.size,
-            tgt_vocab.size,
-            np.random.default_rng([config.seed, 0]),
-            forget_bias=config.forget_bias,
-        )
+        model = initial_model(config, src_vocab.size, tgt_vocab.size)
     params = model.params()
     if adam is None:
         adam = AdamState.create(params)
@@ -634,70 +607,69 @@ def train(
     n_epochs = remaining if epochs is None else min(epochs, remaining)
     dev_sources = dev_corpus.source_sentences()
     dev_references = [[tgt] for tgt in dev_corpus.target_sentences()]
+    lr = config.resolved_lr()
 
-    for e in range(start, start + n_epochs):
-        t0 = time.perf_counter()
-        shuffle_rng = np.random.default_rng([config.seed, 1, e])
-        dropout_rng = np.random.default_rng([config.seed, 2, e])
-        total_nll = 0.0
-        total_tokens = 0
-        for b, batch in enumerate(
-            batches(
+    # Overflow in a diverging run is reported once, by the NaN/Inf guard in
+    # the tape, instead of by numpy's warnings before it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for e in range(start, start + n_epochs):
+            t0 = time.perf_counter()
+            shuffle_rng = np.random.default_rng([config.seed, 1, e])
+            dropout_rng = np.random.default_rng([config.seed, 2, e])
+            total_nll = 0.0
+            total_tokens = 0
+            batch_iter = batches(
                 train_corpus, src_vocab, tgt_vocab, config.batch_size, shuffle_rng, config.bucket
-            ),
-            1,
-        ):
+            )
+            for b, batch in enumerate(batch_iter, 1):
+                try:
+                    model.zero_grads()
+                    batch_tokens = int(batch.tgt_mask.sum())
+                    for i in range(batch.size):
+                        tgt = batch.tgt_out_ids(i)[:-1]  # drop the end marker
+                        n_out = len(tgt) + 1
+                        with Tape() as tape:
+                            mean_loss = sentence_loss(
+                                model, batch.src_ids(i), tgt, config.dropout, True, dropout_rng
+                            )
+                            contribution = ad.scale(mean_loss, n_out / batch_tokens)
+                        backward(contribution, tape)
+                        total_nll += mean_loss.item() * n_out
+                        total_tokens += n_out
+                    clip_global_norm(params, config.clip_norm)
+                    adam_step(params, adam, lr, config.beta1, config.beta2, config.adam_eps)
+                except NumericError as err:
+                    raise NumericError(f"epoch {e + 1}, batch {b}: {err}") from err
             try:
-                model.zero_grads()
-                batch_tokens = int(batch.tgt_mask.sum())
-                for i in range(batch.size):
-                    tgt = batch.tgt_out_ids(i)[:-1]  # drop the end marker
-                    n_out = len(tgt) + 1
-                    with Tape() as tape:
-                        mean_loss = sentence_loss(
-                            model, batch.src_ids(i), tgt, config.dropout, True, dropout_rng
-                        )
-                        contribution = ad.scale(mean_loss, n_out / batch_tokens)
-                    backward(contribution, tape)
-                    total_nll += mean_loss.item() * n_out
-                    total_tokens += n_out
-                clip_global_norm(params, config.clip_norm)
-                adam_step(
-                    params, adam, config.resolved_lr(), config.beta1, config.beta2, config.adam_eps
+                dev_bleu, dev_sari = dev_decode_scores(
+                    model, dev_sources, dev_references, src_vocab, tgt_vocab, config.max_decode_len
                 )
             except NumericError as err:
-                raise NumericError(f"epoch {e + 1}, batch {b}: {err}") from err
-        try:
-            dev_bleu, dev_sari = dev_decode_scores(
-                model, dev_sources, dev_references, src_vocab, tgt_vocab, config.max_decode_len
-            )
-        except NumericError as err:
-            raise NumericError(f"epoch {e + 1}, dev decode: {err}") from err
-        record = EpochRecord(
-            epoch=e + 1,
-            mean_loss=total_nll / total_tokens,
-            dev_bleu=dev_bleu,
-            dev_sari=dev_sari,
-            seconds=time.perf_counter() - t0,
-        )
-        records.append(record)
-        if log is not None:
-            log(
-                f"epoch={record.epoch} loss={record.mean_loss:.4f} "
-                f"dev_bleu={record.dev_bleu:.2f} dev_sari={record.dev_sari:.2f} "
-                f"seconds={record.seconds:.1f}"
-            )
-        chosen = select_model(records, config.tune_metric, config.sari_bleu_threshold)
-        if best is None or chosen == record.epoch:
-            best = make_checkpoint(
-                model,
-                src_vocab,
-                tgt_vocab,
-                adam=adam,
-                epoch=record.epoch,
+                raise NumericError(f"epoch {e + 1}, dev decode: {err}") from err
+            record = EpochRecord(
+                epoch=e + 1,
+                mean_loss=total_nll / total_tokens,
                 dev_bleu=dev_bleu,
                 dev_sari=dev_sari,
+                seconds=time.perf_counter() - t0,
             )
+            records.append(record)
+            if log is not None:
+                log(
+                    f"epoch={record.epoch} loss={record.mean_loss:.4f} "
+                    f"dev_bleu={record.dev_bleu:.2f} dev_sari={record.dev_sari:.2f} "
+                    f"seconds={record.seconds:.1f}"
+                )
+            chosen = select_model(records, config.tune_metric, config.sari_bleu_threshold)
+            if best is None or chosen == record.epoch:
+                best = make_checkpoint(
+                    model,
+                    src_vocab,
+                    tgt_vocab,
+                    epoch=record.epoch,
+                    dev_bleu=dev_bleu,
+                    dev_sari=dev_sari,
+                )
     if best is None:
         raise UsageError("no epochs were run and no previous best was supplied")
     return TrainResult(

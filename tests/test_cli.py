@@ -184,6 +184,11 @@ def test_train_writes_checkpoints_and_logs(tmp_path, corpus_files, capsys):
     assert "epoch=1 " in captured.err and "epoch=2 " in captured.err
     best = load_checkpoint(out_dir / "best.ckpt")
     assert best.encoder_kind == "lstm" and best.dim == 8
+    assert best.adam is None
+    # last.ckpt is the resume point: 2 epochs of 2 batches of Adam steps
+    last = load_checkpoint(out_dir / "last.ckpt")
+    assert last.adam is not None and last.adam.t == 4
+    assert len(last.adam.m) == len(last.adam.v) == len(last.params)
 
 
 def test_train_single_epoch_logs_once(tmp_path, corpus_files, capsys):
@@ -261,8 +266,8 @@ def test_train_from_the_readme_config_example(tmp_path, corpus_files, capsys):
     assert load_checkpoint(tmp_path / "out" / "best.ckpt").encoder_kind == "nse"
 
 
-# the diverging run overflows inside numpy before the NaN/Inf guard raises
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# the diverging run overflows inside numpy; only the NaN/Inf guard may report it
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_diverged_run_exits_2_naming_the_epoch(tmp_path, corpus_files, capsys):
     code = main(
         _train_args(

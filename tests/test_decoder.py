@@ -81,7 +81,6 @@ class TestInitDecoder:
         assert state.h1.shape == (4,)
         assert state.c2.shape == (4,)
         assert state.prev_token == decoder.BOS_ID
-        assert state.step == 0
 
     def test_zero_map_zero_state(self):
         rng = np.random.default_rng(5)

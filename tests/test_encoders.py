@@ -145,9 +145,7 @@ class TestNseEncoder:
         rng = np.random.default_rng(12)
         p = encoders.NseEncoderParams.create(3, rng)
         emb = make_embeddings(rng, T=4, D=3)
-        plain = encoders.nse_encode(p, emb)
-        assert plain.slot_weights == []
-        traced = encoders.nse_encode(p, emb, keep_trace=True)
+        traced = encoders.nse_encode(p, emb)
         assert len(traced.slot_weights) == 4
         for w in traced.slot_weights:
             assert w.shape == (4,)

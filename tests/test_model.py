@@ -56,7 +56,7 @@ class TestEncodeDispatch:
 
     def test_nse_exposes_memory(self):
         m = M.build_model("nse", 4, 7, 7, np.random.default_rng(4))
-        enc = M.encode(m, [4, 5, 6], keep_trace=True)
+        enc = M.encode(m, [4, 5, 6])
         assert len(enc.slot_weights) == 3
         assert all(w.shape == (3,) for w in enc.slot_weights)
 

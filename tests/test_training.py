@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import pathlib
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import oracles
 import toy_tasks
 from nsesimp import autodiff as ad
 from nsesimp.autodiff import Tape, Tensor, backward, grad_check
-from nsesimp.data import PAD_ID, UNK_ID, build_vocab
+from nsesimp.data import PAD_ID, UNK_ID, Vocabulary, build_vocab
 from nsesimp.errors import ConfigError, FormatError, UsageError
 from nsesimp.metrics import EvalInstance, bleu_corpus, sari_corpus
 from nsesimp.model import DecodeSession, build_model
@@ -536,6 +539,75 @@ def test_checkpoint_vocab_without_reserved_header_rejected(tmp_path):
         load_checkpoint(path)
 
 
+GOLDEN_CHECKPOINT = pathlib.Path(__file__).parent / "golden" / "tiny.ckpt"
+
+
+def test_golden_checkpoint_resaves_byte_identically(tmp_path):
+    # tiny.ckpt pins the file format: an NSE model of dim 2 with Adam state
+    ckpt = load_checkpoint(GOLDEN_CHECKPOINT)
+    assert (ckpt.encoder_kind, ckpt.dim, ckpt.epoch) == ("nse", 2, 3)
+    assert (ckpt.dev_bleu, ckpt.dev_sari) == (12.5, 34.25)
+    assert ckpt.src_vocab.id_to_token[4:] == ["the", "cat", "café", "sat"]
+    assert ckpt.adam is not None and ckpt.adam.t == 3
+    path = tmp_path / "again.ckpt"
+    save_checkpoint(ckpt, path)
+    assert path.read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
+    # through a live float64 model and optimizer state and back
+    rebuilt = make_checkpoint(
+        restore_model(ckpt),
+        ckpt.src_vocab,
+        ckpt.tgt_vocab,
+        adam=restore_adam(ckpt),
+        epoch=ckpt.epoch,
+        dev_bleu=ckpt.dev_bleu,
+        dev_sari=ckpt.dev_sari,
+    )
+    save_checkpoint(rebuilt, path)
+    assert path.read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
+
+
+def test_checkpoint_huge_claimed_shape_reports_truncation(tmp_path):
+    blob = GOLDEN_CHECKPOINT.read_bytes()
+    # the first parameter: name "src_emb.E", rank 2, dims 8 and 2
+    header = b"src_emb.E" + struct.pack("<3I", 2, 8, 2)
+    at = blob.index(header) + len(b"src_emb.E") + 4
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(blob[:at] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + blob[at + 8 :])
+    with pytest.raises(FormatError, match="truncated while reading parameter src_emb.E") as err:
+        load_checkpoint(path)
+    assert err.value.offset == at + 8
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced while it ran, above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - start
+
+
+def test_checkpoint_save_and_load_stream_without_staging_copies(tmp_path):
+    vocab = Vocabulary.from_tokens(f"w{i}" for i in range(4000))
+    model = build_model("lstm", 32, vocab.size, vocab.size, np.random.default_rng(6))
+    ckpt = make_checkpoint(model, vocab, vocab, adam=AdamState.create(model.params()))
+    array_bytes = sum(a.nbytes for _, a in ckpt.params) + sum(
+        a.nbytes for a in ckpt.adam.m + ckpt.adam.v
+    )
+    path = tmp_path / "m.ckpt"
+    _, save_peak = _traced_peak(save_checkpoint, ckpt, path)
+    file_bytes = path.stat().st_size
+    assert file_bytes > 4_000_000
+    assert save_peak < 0.25 * file_bytes, (save_peak, file_bytes)
+    loaded, load_peak = _traced_peak(load_checkpoint, path)
+    assert load_peak < 1.25 * array_bytes, (load_peak, array_bytes)
+    for (_, a), (_, b) in zip(ckpt.params, loaded.params):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # decoding and scoring
 
@@ -602,6 +674,7 @@ def test_train_reduces_loss_and_logs_epochs():
     assert len(lines) == 5 and "epoch=1" in lines[0]
     assert isinstance(result.best, Checkpoint)
     assert result.best.params[0][1].dtype == np.float32
+    assert result.best.adam is None  # the served snapshot carries no optimizer state
     assert result.best.epoch in range(1, 6)
 
 
