@@ -235,25 +235,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(ad @ bd, (a, b), bw)
 
 
-def affine_rows(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+def affine_rows(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     """Row-wise affine map: out[t] = W x[t] + b for x [T, I], W [O, I], b [O].
 
     One node for a whole sequence, so W's gradient is a single g^T x matmul
-    instead of one outer product per row.
+    instead of one outer product per row.  With ``b=None`` it is the plain
+    product x Wᵀ.  A one-row x gives the same bits as ``matmul(W, x[0])``:
+    numpy hands both to the same BLAS matrix-vector call.
     """
-    xd, Wd, bd = x.data, W.data, b.data
+    xd, Wd = x.data, W.data
+    bsh = None if b is None else b.shape
     if (
         xd.ndim != 2
         or Wd.ndim != 2
-        or bd.shape != (Wd.shape[0],)
         or xd.shape[1] != Wd.shape[1]
+        or bsh not in (None, (Wd.shape[0],))
     ):
-        raise DimensionError(f"affine_rows x{xd.shape}, W{Wd.shape}, b{bd.shape}")
+        raise DimensionError(f"affine_rows x{xd.shape}, W{Wd.shape}, b{bsh}")
 
     def bw(g):
-        return g @ Wd, g.T @ xd, g.sum(axis=0)
+        grads = (g @ Wd, g.T @ xd)
+        return grads if b is None else grads + (g.sum(axis=0),)
 
-    return _emit(xd @ Wd.T + bd, (x, W, b), bw)
+    if b is None:
+        return _emit(xd @ Wd.T, (x, W), bw)
+    return _emit(xd @ Wd.T + b.data, (x, W, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +315,12 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     z = m - m.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     out2 = z - lse
-    p = np.exp(out2)
     out = out2[0] if one_d else out2
 
     def bw(g):
+        # the probabilities are only needed here, so tape-free decoding
+        # never pays for a second V-sized exp
+        p = np.exp(out2)
         gm = g[None, :] if one_d else g
         dx = gm - p * gm.sum(axis=1, keepdims=True)
         return (dx[0] if one_d else dx,)
@@ -340,19 +348,19 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
 
 
 def narrow(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Contiguous slice of a vector."""
+    """Contiguous slice of a vector, or the same columns of every matrix row."""
     xd = x.data
-    if xd.ndim != 1:
-        raise DimensionError("narrow expects a vector")
-    if not (0 <= lo <= hi <= xd.shape[0]):
-        raise DimensionError(f"narrow [{lo}:{hi}] outside length {xd.shape[0]}")
+    if xd.ndim not in (1, 2):
+        raise DimensionError("narrow expects a vector or a matrix")
+    if not (0 <= lo <= hi <= xd.shape[-1]):
+        raise DimensionError(f"narrow [{lo}:{hi}] outside length {xd.shape[-1]}")
 
     def bw(g):
         z = np.zeros_like(xd)
-        z[lo:hi] = g
+        z[..., lo:hi] = g
         return (z,)
 
-    return _emit(xd[lo:hi].copy(), (x,), bw)
+    return _emit(xd[..., lo:hi].copy(), (x,), bw)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -295,12 +295,12 @@ def cmd_simplify(ns) -> int:
         raise ConfigError("beam and max-len must be at least 1")
     for line in _read_lines(ns.input):
         tokens = line.split()
-        out = decode_tokens(
+        [out] = decode_tokens(
             model,
             tokens,
             ckpt.src_vocab,
             ckpt.tgt_vocab,
-            ns.beam,
+            [ns.beam],
             ns.max_len,
             ns.length_normalize,
         )
@@ -328,20 +328,18 @@ def cmd_evaluate(ns) -> int:
     )
     sources = [line.split() for line in _read_lines(ns.src)]
     references = load_references(ns.refs, expected=len(sources))
-    rows = []
-    for beam in beams:
-        bleu, sari = dev_decode_scores(
-            model,
-            sources,
-            references,
-            ckpt.src_vocab,
-            ckpt.tgt_vocab,
-            ns.max_len,
-            beam,
-            ns.length_normalize,
-        )
-        rows.append((beam, bleu, sari))
-        _err(f"decoded beam={beam}")
+    scores = dev_decode_scores(
+        model,
+        sources,
+        references,
+        ckpt.src_vocab,
+        ckpt.tgt_vocab,
+        ns.max_len,
+        beams,
+        ns.length_normalize,
+    )
+    rows = [(beam, bleu, sari) for beam, (bleu, sari) in zip(beams, scores)]
+    _err(f"decoded beams={','.join(str(b) for b in beams)}")
     best_bleu = max(range(len(rows)), key=lambda i: rows[i][1])
     best_sari = max(range(len(rows)), key=lambda i: rows[i][2])
     print(f"{'beam':>4}  {'bleu':>9}  {'sari':>9}")

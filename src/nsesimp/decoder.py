@@ -6,11 +6,15 @@ context] into layer 1, layer 1's output into layer 2, and projects
 [top state; context] to vocabulary logits.  The decoder start state is a
 learned tanh-linear map of the encoder's final (h, c), shared by both
 layers; generation starts from the sentence-begin token.
+
+A state is either one sequence's [H] vectors (teacher forcing) or k
+hypotheses' [k, H] rows (decoding); the step functions take both, and the
+row form steps every hypothesis with one matrix product per weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,25 +79,38 @@ class DecoderParams:
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Immutable per-step decoder state; advance by building a new one."""
+    """Immutable per-step decoder state; advance by building a new one.
+
+    ``h1``..``c2`` are [H] vectors with ``prev_token`` an id, or [k, H]
+    rows with ``prev_token`` a [k] id array, one row per hypothesis.
+    """
 
     h1: Tensor
     c1: Tensor
     h2: Tensor
     c2: Tensor
-    prev_token: int
+    prev_token: int | np.ndarray
 
-    def advanced(self, token: int) -> "DecoderState":
-        return replace(self, prev_token=token)
+    def select(self, rows, tokens) -> "DecoderState":
+        """Keep the given rows of a row state, in order, each with its next token."""
+        h1, c1, h2, c2 = (ad.take_rows(t, rows) for t in (self.h1, self.c1, self.h2, self.c2))
+        return DecoderState(h1, c1, h2, c2, np.asarray(tokens, dtype=np.intp))
 
 
 def attend(s_prev: Tensor, states: Tensor):
-    """Dot-product attention; returns (alpha over source rows, context)."""
-    if states.data.ndim != 2 or s_prev.shape != (states.shape[1],):
+    """Dot-product attention; returns (alpha over source rows, context).
+
+    A [k, H] query gives [k, S] weights and [k, H] contexts, one per row.
+    """
+    if (
+        states.data.ndim != 2
+        or s_prev.data.ndim not in (1, 2)
+        or s_prev.shape[-1] != states.shape[1]
+    ):
         raise DimensionError(
             f"attend got query {s_prev.shape} against states {states.shape}"
         )
-    scores = ad.matmul(states, s_prev)
+    scores = layers.project(states, s_prev)
     alpha = ad.softmax_rows(scores)
     context = ad.matmul(alpha, states)
     return alpha, context
@@ -117,7 +134,9 @@ def decoder_recurrence(
 ):
     """Attention and both LSTM layers; returns (new_state, alpha, feature).
 
-    ``feature`` is [top state; context], the input of the output layer.
+    ``feature`` is [top state; context], the input of the output layer; a
+    row state takes one embedding row per hypothesis and gives one
+    feature row each.
     Dropout (training only) applies to the token embedding and between the
     two layers, drawing from ``rng`` in that order.
     """
@@ -145,8 +164,9 @@ def decoder_step(
 ):
     """One decoding transition; returns (new_state, alpha, logits).
 
-    The caller chooses the emitted token from the logits and records it via
-    ``new_state.advanced(token)``.
+    The caller chooses the emitted token from the logits; a row state's
+    logits are [k, V], one row per hypothesis, made by one product with
+    the output weights.
     """
     new_state, alpha, feature = decoder_recurrence(
         p, state, y_prev_embedding, states, dropout_rate, training, rng

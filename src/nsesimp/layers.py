@@ -108,14 +108,22 @@ def lstm_step(p: LstmCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor):
 
     c = sigmoid(f)*c_prev + sigmoid(i)*tanh(g),  h = sigmoid(o)*tanh(c),
     where [i, f, g, o] are the four rows blocks of W_x x + W_h h_prev + b.
+    Vectors step one sequence; [k, I] and [k, H] matrices step k sequences
+    at once, one per row.
     """
     H = p.hidden_dim
-    if x.shape != (p.input_dim,) or h_prev.shape != (H,) or c_prev.shape != (H,):
+    lead = x.shape[:-1]
+    if (
+        len(lead) > 1
+        or x.shape != lead + (p.input_dim,)
+        or h_prev.shape != lead + (H,)
+        or c_prev.shape != lead + (H,)
+    ):
         raise DimensionError(
             f"lstm_step got x{x.shape}, h{h_prev.shape}, c{c_prev.shape} "
             f"for cell I={p.input_dim}, H={H}"
         )
-    z = ad.add(ad.add(ad.matmul(p.W_x, x), ad.matmul(p.W_h, h_prev)), p.b)
+    z = ad.add(ad.add(project(p.W_x, x), project(p.W_h, h_prev)), p.b)
     i = ad.sigmoid(ad.narrow(z, 0, H))
     f = ad.sigmoid(ad.narrow(z, H, 2 * H))
     g = ad.tanh(ad.narrow(z, 2 * H, 3 * H))
@@ -161,6 +169,13 @@ class MlpParams:
 def mlp(p: MlpParams, x: Tensor) -> Tensor:
     hidden = ad.tanh(ad.add(ad.matmul(p.W1, x), p.b1))
     return ad.add(ad.matmul(p.W2, hidden), p.b2)
+
+
+def project(W: Tensor, x: Tensor) -> Tensor:
+    """W x of a vector, or of each row of a [T, I] matrix."""
+    if x.data.ndim == 2:
+        return ad.affine_rows(x, W)
+    return ad.matmul(W, x)
 
 
 def linear(W: Tensor, b: Tensor, x: Tensor) -> Tensor:

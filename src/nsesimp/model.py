@@ -142,10 +142,14 @@ def teacher_logits(
 class DecodeSession:
     """Stepwise decoding interface over one encoded source sentence.
 
-    ``step`` runs a single decoder transition from a state and returns
-    plain numpy ``(log_probs, alpha, core)``; ``advance`` commits an
-    emitted token to a core, yielding the next state.  Splitting the two
-    lets beam search reuse one forward pass for several candidate tokens.
+    A state holds k hypotheses as rows.  ``step`` runs one decoder
+    transition for all of them and returns plain numpy ``(log_probs [k, V],
+    alpha [k, S], core)``; ``advance(core, rows, tokens)`` keeps the given
+    rows of the core, in order, each followed by its emitted token.
+    Splitting the two lets beam search score every candidate from one
+    forward pass.  ``start`` gives a single hypothesis, so greedy decoding
+    is the k = 1 case.  A session holds only the encoded source, so it can
+    be decoded any number of times.
     """
 
     def __init__(self, model: Model, src_ids):
@@ -153,14 +157,16 @@ class DecodeSession:
         self.encoder_output = encode(model, src_ids)
 
     def start(self) -> DecoderState:
-        return init_decoder(self.model.decoder, self.encoder_output)
+        s = init_decoder(self.model.decoder, self.encoder_output)
+        h1, c1, h2, c2 = (ad.stack_rows([t]) for t in (s.h1, s.c1, s.h2, s.c2))
+        return DecoderState(h1, c1, h2, c2, np.array([s.prev_token], dtype=np.intp))
 
     def step(self, state: DecoderState):
-        y = ad.row(self.model.tgt_embed.E, state.prev_token)
+        y = ad.take_rows(self.model.tgt_embed.E, state.prev_token)
         core, alpha, logits = decoder_step(
             self.model.decoder, state, y, self.encoder_output.states
         )
         return ad.log_softmax_rows(logits).data, alpha.data, core
 
-    def advance(self, core: DecoderState, token: int) -> DecoderState:
-        return core.advanced(token)
+    def advance(self, core: DecoderState, rows, tokens) -> DecoderState:
+        return core.select(rows, tokens)

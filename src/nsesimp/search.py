@@ -1,7 +1,9 @@
 """Greedy and beam-search decoding, plus attention-based UNK replacement.
 
-Both decoders drive a session object exposing ``start() -> state``,
-``step(state) -> (log_probs, alpha, core)`` and ``advance(core, token)``;
+Both decoders drive a session object whose state holds k hypotheses as
+rows: ``start() -> state`` (one hypothesis), ``step(state) -> (log_probs
+[k, V], alpha [k, S], core)`` and ``advance(core, rows, tokens) -> state``,
+which keeps the given rows in order, each followed by its token.
 :class:`~nsesimp.model.DecodeSession` adapts a real model, and tests drive
 the same functions with synthetic probability tables.
 
@@ -33,7 +35,6 @@ class Hypothesis:
 
     tokens: tuple[int, ...]
     score: float
-    state: object
     alphas: tuple
     finished: bool
 
@@ -59,17 +60,32 @@ def greedy_decode(session, max_len: int = 100) -> Hypothesis:
     finished = False
     for _ in range(max_len):
         log_probs, alpha, core = session.step(state)
-        token = int(np.argmax(log_probs))
-        score = score + float(log_probs[token])
-        state = session.advance(core, token)
+        token = int(np.argmax(log_probs[0]))
+        score = score + float(log_probs[0, token])
         if token == EOS_ID:
             finished = True
             break
         tokens.append(token)
-        alphas.append(alpha)
-    return Hypothesis(
-        tokens=tuple(tokens), score=score, state=state, alphas=tuple(alphas), finished=finished
-    )
+        alphas.append(alpha[0])
+        state = session.advance(core, [0], [token])
+    return Hypothesis(tokens=tuple(tokens), score=score, alphas=tuple(alphas), finished=finished)
+
+
+def _best_tokens(log_probs: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` best ids of each row, best first, ties to the lower id.
+
+    Equal to the first ``n`` columns of a stable argsort of ``-log_probs``,
+    without sorting whole rows: a partition finds each row's n-th best
+    value, and only the ids at or above it (more than ``n`` when ties
+    straddle the cut) are sorted.
+    """
+    neg = -log_probs
+    cut = np.partition(neg, n - 1, axis=1)[:, n - 1]
+    out = np.empty((neg.shape[0], n), dtype=np.intp)
+    for r in range(neg.shape[0]):
+        ids = np.flatnonzero(neg[r] <= cut[r])  # ascending, so ties keep id order
+        out[r] = ids[np.argsort(neg[r, ids], kind="stable")[:n]]
+    return out
 
 
 def beam_decode(
@@ -81,49 +97,41 @@ def beam_decode(
     pooled candidates are ranked and the best non-terminal ones refill the
     beam, while every terminal candidate is banked in a finished pool that
     is never pruned.  The best finished hypothesis wins; only if nothing
-    finished does the best live one stand in.
+    finished does the best live one stand in.  All live hypotheses share
+    one session step.
     """
     if beam < 1:
         raise ConfigError(f"beam width {beam} must be at least 1")
     if max_len < 1:
         raise ConfigError(f"max_len {max_len} must be at least 1")
-    live = [Hypothesis(tokens=(), score=0.0, state=session.start(), alphas=(), finished=False)]
+    state = session.start()
+    live = [Hypothesis(tokens=(), score=0.0, alphas=(), finished=False)]
     finished: list[Hypothesis] = []
     for _ in range(max_len):
-        candidates = []
-        for hyp in live:
-            log_probs, alpha, core = session.step(hyp.state)
-            k = min(beam, log_probs.shape[0])
-            # stable argsort of -logp: descending probability, ties -> lower id
-            order = np.argsort(-log_probs, kind="stable")
-            for token in order[:k]:
-                candidates.append((hyp.score + float(log_probs[token]), hyp, int(token), alpha, core))
+        log_probs, alpha, core = session.step(state)
+        top = _best_tokens(log_probs, min(beam, log_probs.shape[1]))
+        # hypothesis order, then token order; the stable sort keeps it for ties
+        candidates = [
+            (hyp.score + float(log_probs[r, token]), r, int(token))
+            for r, hyp in enumerate(live)
+            for token in top[r]
+        ]
         candidates.sort(key=lambda c: -c[0])
         refill: list[Hypothesis] = []
-        for score, hyp, token, alpha, core in candidates:
+        rows: list[int] = []
+        for score, r, token in candidates:
+            hyp = live[r]
             if token == EOS_ID:
-                finished.append(
-                    Hypothesis(
-                        tokens=hyp.tokens,
-                        score=score,
-                        state=session.advance(core, token),
-                        alphas=hyp.alphas,
-                        finished=True,
-                    )
-                )
+                finished.append(Hypothesis(hyp.tokens, score, hyp.alphas, True))
             elif len(refill) < beam:
                 refill.append(
-                    Hypothesis(
-                        tokens=hyp.tokens + (token,),
-                        score=score,
-                        state=session.advance(core, token),
-                        alphas=hyp.alphas + (alpha,),
-                        finished=False,
-                    )
+                    Hypothesis(hyp.tokens + (token,), score, hyp.alphas + (alpha[r],), False)
                 )
+                rows.append(r)
         live = refill
         if not live:
             break
+        state = session.advance(core, rows, [h.tokens[-1] for h in live])
     pool = finished if finished else live
     return max(pool, key=lambda h: _selection_key(h, length_normalize))
 

@@ -19,6 +19,7 @@ import math
 import os
 import struct
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -513,22 +514,27 @@ def decode_tokens(
     src_tokens,
     src_vocab: Vocabulary,
     tgt_vocab: Vocabulary,
-    beam: int = 1,
+    beams: Sequence[int] = (1,),
     max_len: int = 100,
     length_normalize: bool = False,
-) -> list[str]:
-    """Decode one tokenized source, filling unknown outputs from the source.
+) -> list[list[str]]:
+    """Decode one tokenized source at each beam width in ``beams``.
 
-    Beam 1 is greedy decoding; an empty source decodes to no tokens.
+    The source is encoded once and that session serves every beam.  Beam 1
+    is greedy decoding; unknown outputs are filled from the source, and an
+    empty source decodes to no tokens.
     """
     if not src_tokens:
-        return []
+        return [[] for _ in beams]
     session = DecodeSession(model, src_vocab.encode(src_tokens))
-    if beam == 1:
-        hyp = greedy_decode(session, max_len)
-    else:
-        hyp = beam_decode(session, beam, max_len, length_normalize)
-    return replace_unks(hyp, src_tokens, tgt_vocab)
+    outputs = []
+    for beam in beams:
+        if beam == 1:
+            hyp = greedy_decode(session, max_len)
+        else:
+            hyp = beam_decode(session, beam, max_len, length_normalize)
+        outputs.append(replace_unks(hyp, src_tokens, tgt_vocab))
+    return outputs
 
 
 def dev_decode_scores(
@@ -538,21 +544,24 @@ def dev_decode_scores(
     src_vocab: Vocabulary,
     tgt_vocab: Vocabulary,
     max_decode_len: int,
-    beam: int = 1,
+    beams: Sequence[int] = (1,),
     length_normalize: bool = False,
-):
-    """Decode every source and return corpus (BLEU, SARI) against its references."""
-    instances = [
-        EvalInstance(
-            source=src_tokens,
-            output=decode_tokens(
-                model, src_tokens, src_vocab, tgt_vocab, beam, max_decode_len, length_normalize
-            ),
-            references=refs,
+) -> list[tuple[float, float]]:
+    """Decode every source at each beam; corpus (BLEU, SARI) per beam, in order."""
+    outputs = [
+        decode_tokens(
+            model, src_tokens, src_vocab, tgt_vocab, beams, max_decode_len, length_normalize
         )
-        for src_tokens, refs in zip(sources, references)
+        for src_tokens in sources
     ]
-    return bleu_corpus(instances).score, sari_corpus(instances).score
+    scores = []
+    for b in range(len(beams)):
+        instances = [
+            EvalInstance(source=src_tokens, output=outs[b], references=refs)
+            for src_tokens, outs, refs in zip(sources, outputs, references)
+        ]
+        scores.append((bleu_corpus(instances).score, sari_corpus(instances).score))
+    return scores
 
 
 def initial_model(config: TrainConfig, src_vocab_size: int, tgt_vocab_size: int) -> Model:
@@ -641,7 +650,7 @@ def train(
                 except NumericError as err:
                     raise NumericError(f"epoch {e + 1}, batch {b}: {err}") from err
             try:
-                dev_bleu, dev_sari = dev_decode_scores(
+                [(dev_bleu, dev_sari)] = dev_decode_scores(
                     model, dev_sources, dev_references, src_vocab, tgt_vocab, config.max_decode_len
                 )
             except NumericError as err:

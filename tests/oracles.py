@@ -2,13 +2,16 @@
 
 Everything here is written from first principles with naive loops and no
 shared code with the package: finite differences for gradients, direct
-n-gram scanning for the metrics, filter-then-argmax for model selection.
-Slow on purpose; clarity over speed.
+n-gram scanning for the metrics, filter-then-argmax for model selection,
+and a beam search that steps one hypothesis at a time.  Slow on purpose;
+clarity over speed.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def lower(tokens):
@@ -192,3 +195,51 @@ def select_model(records, tune_metric, threshold):
         if records[i - 1][1] > records[best - 1][1]:
             best = i
     return best
+
+
+# ---------------------------------------------------------------------------
+# beam search
+
+
+def beam_search(session, beam, max_len, length_normalize, eos_id):
+    """Beam search with one session step per live hypothesis.
+
+    Each hypothesis is its own one-row session state; its candidates are
+    the first ``beam`` ids of a full stable argsort of its row, so token
+    ties go to the lower id.  Candidates are ranked by score, ties kept in
+    generation order (hypothesis, then token); terminal ones are banked,
+    the best others refill the beam.  Returns the selected
+    ``(tokens, score, alphas, finished)``: the best finished hypothesis,
+    else the best live one, by raw or per-step score.
+    """
+    live = [((), 0.0, (), session.start())]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for tokens, score, alphas, state in live:
+            log_probs, alpha, core = session.step(state)
+            row = log_probs[0]
+            order = np.argsort(-row, kind="stable")
+            for token in order[: min(beam, len(row))]:
+                token = int(token)
+                candidates.append((score + float(row[token]), tokens, alphas, alpha[0], core, token))
+        candidates.sort(key=lambda c: -c[0])
+        refill = []
+        for score, tokens, alphas, alpha, core, token in candidates:
+            if token == eos_id:
+                finished.append((tokens, score, alphas, True))
+            elif len(refill) < beam:
+                state = session.advance(core, [0], [token])
+                refill.append((tokens + (token,), score, alphas + (alpha,), state))
+        live = refill
+        if not live:
+            break
+    pool = finished if finished else [(t, s, a, False) for t, s, a, _ in live]
+
+    def key(hyp):
+        tokens, score, _, done = hyp
+        if not length_normalize:
+            return score
+        return score / max(len(tokens) + (1 if done else 0), 1)
+
+    return max(pool, key=key)

@@ -795,8 +795,7 @@ class TestUnknownReplacement:
                 grid = rng.integers(1, 5, size=src_len).astype(float)
                 alphas.append(grid / grid.sum())
             hyp = Hypothesis(
-                tokens=tuple(tokens), score=-1.0, state=None,
-                alphas=tuple(alphas), finished=True,
+                tokens=tuple(tokens), score=-1.0, alphas=tuple(alphas), finished=True
             )
             surface = replace_unks(hyp, source, vocab)
             assert len(surface) == len(tokens)
@@ -814,7 +813,5 @@ class TestUnknownReplacement:
             (np.array([0.1, 0.45, 0.45]), "second"),
             (np.array([1.0, 1.0, 1.0]) / 3.0, "first"),
         ):
-            hyp = Hypothesis(
-                tokens=(UNK_ID,), score=0.0, state=None, alphas=(row,), finished=True
-            )
+            hyp = Hypothesis(tokens=(UNK_ID,), score=0.0, alphas=(row,), finished=True)
             assert replace_unks(hyp, source, vocab) == [expected]

@@ -139,6 +139,25 @@ class TestAffineRows:
         probe = Tensor(rng.uniform(0.5, 1.5, size=(3, 5)))
         check_op(lambda: ad.mul(ad.affine_rows(x, W, b), probe), [x, W, b])
 
+    def test_without_bias_is_the_plain_product(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        W = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        npt.assert_array_equal(ad.affine_rows(x, W).data, x.data @ W.data.T)
+        probe = Tensor(rng.uniform(0.5, 1.5, size=(3, 5)))
+        check_op(lambda: ad.mul(ad.affine_rows(x, W), probe), [x, W])
+
+    def test_one_row_is_bitwise_the_matrix_vector_product(self):
+        # the batched decoder relies on this to keep greedy decoding unchanged
+        rng = np.random.default_rng(11)
+        for O, I in ((16, 7), (24, 10), (300, 150)):
+            x = rng.normal(size=I)
+            W = rng.normal(size=(O, I))
+            b = rng.normal(size=O)
+            row = ad.affine_rows(Tensor(x[None, :]), Tensor(W), Tensor(b)).data
+            vec = ad.add(ad.matmul(Tensor(W), Tensor(x)), Tensor(b)).data
+            npt.assert_array_equal(row[0], vec)
+
     def test_shape_mismatch(self):
         x, W, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4))), Tensor(np.zeros(5))
         for args in (
@@ -207,6 +226,26 @@ class TestSoftmax:
         check_op(lambda: ad.mul(ad.softmax_rows(v), cv), [v])
         check_op(lambda: ad.mul(ad.log_softmax_rows(w), c), [w])
 
+    def test_log_softmax_gradient_is_bitwise_the_eager_formula(self):
+        # the probabilities are now formed inside the backward rule; they
+        # used to be kept from the forward pass
+        rng = np.random.default_rng(10)
+        for shape in ((3, 7), (6,)):
+            x = Tensor(rng.normal(size=shape) * 4, requires_grad=True)
+            g = rng.normal(size=shape)
+            with Tape() as tape:
+                out = ad.log_softmax_rows(x)
+                loss = ad.sum_all(ad.mul(out, Tensor(g)))
+            backward(loss, tape)
+            m = np.atleast_2d(x.data)
+            z = m - m.max(axis=1, keepdims=True)
+            out2 = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            p = np.exp(out2)
+            gm = np.atleast_2d(g)
+            want = (gm - p * gm.sum(axis=1, keepdims=True)).reshape(shape)
+            npt.assert_array_equal(out.data, out2.reshape(shape))
+            npt.assert_array_equal(x.grad, want)
+
 
 class TestShapeSurgery:
     def test_concat_values_and_grads(self):
@@ -236,6 +275,17 @@ class TestShapeSurgery:
         check_op(lambda: ad.mul(ad.narrow(x, 2, 5), w), [x])
         with pytest.raises(DimensionError):
             ad.narrow(x, 5, 9)
+
+    def test_narrow_matrix_takes_the_same_columns_of_every_row(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+        npt.assert_array_equal(ad.narrow(x, 2, 5).data, x.data[:, 2:5])
+        w = Tensor(rng.normal(size=(3, 3)))
+        check_op(lambda: ad.mul(ad.narrow(x, 2, 5), w), [x])
+        with pytest.raises(DimensionError):
+            ad.narrow(x, 5, 9)
+        with pytest.raises(DimensionError):
+            ad.narrow(Tensor(np.zeros((2, 2, 2))), 0, 1)
 
     def test_reshape(self):
         rng = np.random.default_rng(19)

@@ -8,6 +8,7 @@ the emission distribution is [1/6, 1/6, 1/2, 1/6].
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +16,7 @@ import pytest
 
 from nsesimp import autodiff as ad
 from nsesimp import decoder, encoders, layers
-from nsesimp.autodiff import Tape, Tensor, backward
+from nsesimp.autodiff import Tensor
 from nsesimp.decoder import DecoderParams, attend, decoder_step, init_decoder
 from nsesimp.errors import DimensionError
 
@@ -71,6 +72,23 @@ class TestAttend:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             attend(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))))
+        with pytest.raises(DimensionError):
+            attend(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
+    def test_query_rows_attend_independently(self):
+        rng = np.random.default_rng(12)
+        states = Tensor(rng.normal(size=(5, 4)))
+        queries = rng.normal(size=(3, 4))
+        alpha, context = attend(Tensor(queries), states)
+        assert alpha.shape == (3, 5) and context.shape == (3, 4)
+        for r in range(3):
+            a, c = attend(Tensor(queries[r]), states)
+            npt.assert_allclose(alpha.data[r], a.data, rtol=1e-12, atol=1e-15)
+            npt.assert_allclose(context.data[r], c.data, rtol=1e-12, atol=1e-15)
+        one_alpha, one_context = attend(Tensor(queries[:1]), states)
+        a, c = attend(Tensor(queries[0]), states)
+        npt.assert_array_equal(one_alpha.data[0], a.data)
+        npt.assert_array_equal(one_context.data[0], c.data)
 
 
 class TestInitDecoder:
@@ -132,7 +150,7 @@ class TestDecoderStep:
             y = layers.embed(emb_table, [state.prev_token])
             state, _, logits = decoder_step(p, state, ad.row(y, 0), enc.states)
             total += ad.pick(ad.log_softmax_rows(logits), target).item()
-            state = state.advanced(target)
+            state = replace(state, prev_token=target)
         expected = math.log(0.5) + math.log(1.0 / 6.0)
         assert abs(total - expected) < 1e-10
 
@@ -151,7 +169,7 @@ class TestDecoderStep:
             state, _, logits = decoder_step(p, state, ad.row(y, 0), enc.states)
             log_total += ad.pick(ad.log_softmax_rows(logits), target).item()
             prob_total *= ad.softmax_rows(logits).data[target]
-            state = state.advanced(target)
+            state = replace(state, prev_token=target)
         assert abs(log_total - math.log(prob_total)) < 1e-10
 
     def test_dropout_only_in_training(self):
@@ -179,7 +197,7 @@ class TestDecoderStep:
             state = init_decoder(p, enc)
             state, _, logits = decoder_step(p, state, emb, enc.states)
             first = ad.pick(ad.log_softmax_rows(logits), 2)
-            state = state.advanced(2)
+            state = replace(state, prev_token=2)
             _, _, logits2 = decoder_step(p, state, emb, enc.states)
             return ad.add(first, ad.pick(ad.log_softmax_rows(logits2), 0))
 

@@ -11,8 +11,8 @@ import numpy.testing as npt
 import pytest
 
 from nsesimp import autodiff as ad
-from nsesimp import encoders, layers
-from nsesimp.autodiff import Tape, Tensor, backward
+from nsesimp import encoders
+from nsesimp.autodiff import Tensor
 from nsesimp.errors import DimensionError, UsageError
 
 

@@ -113,6 +113,47 @@ class TestLstmCell:
         report = ad.grad_check(f, [p.W_x, p.W_h, p.b], tol=1e-4, names=["W_x", "W_h", "b"])
         assert report.ok, report.failures
 
+    def test_rows_step_each_sequence(self):
+        # one row is bitwise the vector step; several rows share one matrix
+        # product per weight, whose summation order may differ in the last bit
+        rng = np.random.default_rng(22)
+        p = layers.LstmCellParams.create(37, 29, rng)
+        for k in (1, 3):
+            x, h0, c0 = (rng.normal(size=(k, n)) for n in (37, 29, 29))
+            h, c = layers.lstm_step(p, Tensor(x), Tensor(h0), Tensor(c0))
+            assert h.shape == c.shape == (k, 29)
+            for r in range(k):
+                hv, cv = layers.lstm_step(p, Tensor(x[r]), Tensor(h0[r]), Tensor(c0[r]))
+                if k == 1:
+                    npt.assert_array_equal(h.data[r], hv.data)
+                    npt.assert_array_equal(c.data[r], cv.data)
+                npt.assert_allclose(h.data[r], hv.data, rtol=1e-12, atol=1e-15)
+                npt.assert_allclose(c.data[r], cv.data, rtol=1e-12, atol=1e-15)
+
+    def test_rows_gradient_check(self):
+        rng = np.random.default_rng(23)
+        p = layers.LstmCellParams.create(3, 4, rng)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        h0 = Tensor(rng.normal(size=(2, 4)) * 0.5, requires_grad=True)
+        c0 = Tensor(rng.normal(size=(2, 4)) * 0.5)
+        weight = Tensor(rng.normal(size=(2, 8)))
+
+        def f():
+            h, c = layers.lstm_step(p, x, h0, c0)
+            return ad.sum_all(ad.mul(ad.concat(h, c), weight))
+
+        report = ad.grad_check(f, [p.W_x, p.W_h, p.b, x, h0], tol=1e-4)
+        assert report.ok, report.failures
+
+    def test_rows_dimension_mismatch(self):
+        p = layers.LstmCellParams.create(3, 2, np.random.default_rng(0))
+        with pytest.raises(DimensionError):  # two inputs, three states
+            layers.lstm_step(
+                p, Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2)))
+            )
+        with pytest.raises(DimensionError):  # a vector input with row states
+            layers.lstm_step(p, Tensor(np.zeros(3)), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
+
 
 class TestMlp:
     def test_zero_weights_give_bias(self):

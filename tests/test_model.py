@@ -76,11 +76,12 @@ class TestTeacherLogits:
         logits = M.teacher_logits(m, enc, [BOS_ID])
         session = M.DecodeSession(m, [4, 5, 6])
         log_probs, _, _ = session.step(session.start())
+        assert log_probs.shape == (1, 7)
         import nsesimp.autodiff as ad
         from nsesimp.autodiff import Tensor
 
         expected = ad.log_softmax_rows(Tensor(logits.data[0])).data
-        npt.assert_allclose(log_probs, expected, atol=1e-14)
+        npt.assert_allclose(log_probs[0], expected, atol=1e-14)
 
 
 def per_step_logits(m, enc, decoder_input_ids, rate, training, rng):

@@ -17,28 +17,57 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
+from nsesimp import autodiff as ad
 from nsesimp import search
 from nsesimp.data import BOS_ID, EOS_ID, UNK_ID, build_vocab
+from nsesimp.decoder import decoder_step, init_decoder
 from nsesimp.errors import ConfigError, UsageError
-from nsesimp.model import DecodeSession, build_model
+from nsesimp.model import ENCODER_KINDS, DecodeSession, build_model, encode
 from nsesimp.search import Hypothesis, beam_decode, greedy_decode, replace_unks
 
 
 class MarkovSession:
-    """Synthetic decode session backed by a [V, V] transition table."""
+    """Synthetic decode session backed by a [V, V] transition table.
+
+    A state is the array of each hypothesis's last token.
+    """
 
     def __init__(self, probs: np.ndarray):
         self.log_probs = np.log(probs)
         self.V = probs.shape[0]
 
     def start(self):
-        return BOS_ID
+        return np.array([BOS_ID])
 
     def step(self, state):
-        return self.log_probs[state], np.array([1.0]), state
+        return self.log_probs[state], np.ones((len(state), 1)), state
 
-    def advance(self, core, token):
-        return token
+    def advance(self, core, rows, tokens):
+        return np.asarray(tokens)
+
+
+class PrefixSession(MarkovSession):
+    """A Markov table whose state is each hypothesis's whole prefix.
+
+    ``stepped`` records every prefix passed to ``step``, in order, so two
+    searches can be compared beam by beam.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        super().__init__(probs)
+        self.stepped = []
+
+    def start(self):
+        return [(BOS_ID,)]
+
+    def step(self, state):
+        self.stepped.extend(state)
+        last = [prefix[-1] for prefix in state]
+        return self.log_probs[last], np.ones((len(state), 1)), state
+
+    def advance(self, core, rows, tokens):
+        return [core[r] + (token,) for r, token in zip(rows, tokens)]
 
 
 def random_markov(rng, V=5, eos_floor=0.05):
@@ -63,12 +92,12 @@ def enumerate_best(session, max_len):
             best_unfin = consider(best_unfin, (score, tokens))
             return
         log_probs, _, core = session.step(state)
-        for tok in range(len(log_probs)):
-            s2 = score + float(log_probs[tok])
+        for tok in range(log_probs.shape[1]):
+            s2 = score + float(log_probs[0, tok])
             if tok == EOS_ID:
                 best_fin = consider(best_fin, (s2, tokens))
             else:
-                rec(session.advance(core, tok), tokens + (tok,), s2, steps + 1)
+                rec(session.advance(core, [0], [tok]), tokens + (tok,), s2, steps + 1)
 
     rec(session.start(), (), 0.0, 0)
     return best_fin if best_fin is not None else best_unfin
@@ -226,17 +255,137 @@ class TestBeamSearch:
     def test_length_normalized_selection(self):
         # two finished candidates: [0] with logP -2.0 and [4, 1] with
         # logP -2.4; raw selection prefers [0], per-token prefers [4, 1]
-        fin_a = Hypothesis((0,), -2.0, None, (np.array([1.0]),), True)
-        fin_b = Hypothesis((4, 1), -2.4, None, (np.array([1.0]),) * 2, True)
+        fin_a = Hypothesis((0,), -2.0, (np.array([1.0]),), True)
+        fin_b = Hypothesis((4, 1), -2.4, (np.array([1.0]),) * 2, True)
         raw = max([fin_a, fin_b], key=lambda h: search._selection_key(h, False))
         norm = max([fin_a, fin_b], key=lambda h: search._selection_key(h, True))
         assert raw is fin_a
         assert norm is fin_b
 
 
+def vector_greedy(model, src, max_len):
+    """Greedy decoding through the one-sequence [H] vector decoder step."""
+    enc = encode(model, src)
+    state = init_decoder(model.decoder, enc)
+    token, tokens, alphas, score = BOS_ID, [], [], 0.0
+    for _ in range(max_len):
+        y = ad.row(model.tgt_embed.E, token)
+        state, alpha, logits = decoder_step(model.decoder, state, y, enc.states)
+        log_probs = ad.log_softmax_rows(logits).data
+        token = int(np.argmax(log_probs))
+        score = score + float(log_probs[token])
+        if token == EOS_ID:
+            return tuple(tokens), score, alphas, True
+        tokens.append(token)
+        alphas.append(alpha.data)
+    return tuple(tokens), score, alphas, False
+
+
+def random_session(seed, eos_shift=0.0):
+    """A random model of either encoder kind over a short random source."""
+    rng = np.random.default_rng(seed)
+    kind = ENCODER_KINDS[seed % 2]
+    vocab = int(rng.integers(7, 13))
+    model = build_model(kind, int(rng.integers(3, 7)), vocab, vocab, rng)
+    model.decoder.out_b.data[EOS_ID] += eos_shift
+    src = [int(t) for t in rng.integers(4, vocab, size=int(rng.integers(2, 6)))]
+    return model, src
+
+
+class TestBatchedSearch:
+    """The batched search against one-hypothesis-at-a-time references."""
+
+    def test_greedy_is_bitwise_the_vector_decoder(self):
+        for seed in range(12):
+            model, src = random_session(700 + seed)
+            hyp = greedy_decode(DecodeSession(model, src), max_len=9)
+            tokens, score, alphas, finished = vector_greedy(model, src, 9)
+            assert hyp.tokens == tokens
+            assert hyp.score == score
+            assert hyp.finished == finished
+            for got, want in zip(hyp.alphas, alphas):
+                assert np.array_equal(got, want)
+
+    def test_matches_per_hypothesis_oracle_on_real_models(self):
+        outcomes = set()
+        for seed in range(24):
+            # every third model rarely ends, so the live pool is selected too
+            model, src = random_session(600 + seed, eos_shift=-4.0 if seed % 3 == 0 else 0.0)
+            session = DecodeSession(model, src)
+            for beam in (2, 3, 5, 10):
+                for length_normalize in (False, True):
+                    tokens, score, alphas, finished = oracles.beam_search(
+                        session, beam, 8, length_normalize, EOS_ID
+                    )
+                    hyp = beam_decode(session, beam, 8, length_normalize)
+                    assert hyp.tokens == tokens
+                    assert hyp.finished == finished
+                    assert abs(hyp.score - score) <= 1e-12 * abs(score)
+                    assert len(hyp.alphas) == len(alphas)
+                    for got, want in zip(hyp.alphas, alphas):
+                        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+                    outcomes.add(finished)
+        assert outcomes == {True, False}
+
+    def test_session_is_reusable(self):
+        model, src = random_session(5)
+        session = DecodeSession(model, src)
+        first = [beam_decode(session, b, 6) for b in (1, 3, 5)]
+        again = [beam_decode(session, b, 6) for b in (1, 3, 5)]
+        assert [(h.tokens, h.score) for h in first] == [(h.tokens, h.score) for h in again]
+
+
+def tie_at_the_cut_row():
+    """Ids 7, 2 and 9 lead; ids 1, 5 and 8 tie at the 4th best value."""
+    row = np.full(12, -9.0)
+    row[[7, 2, 9]] = [-1.0, -2.0, -3.0]
+    row[[1, 5, 8]] = -4.0
+    return row
+
+
+class TestTies:
+    """Ties at the k-th best value must resolve to the lowest ids."""
+
+    def test_best_tokens_equal_a_stable_argsort(self):
+        row = tie_at_the_cut_row()
+        tables = [
+            np.zeros((4, 12)),  # every id ties
+            np.stack([row, row[::-1]]),
+            np.round(np.random.default_rng(11).normal(size=(5, 12))),  # many ties
+        ]
+        for table in tables:
+            want = np.argsort(-table, axis=1, kind="stable")
+            for n in range(1, table.shape[1] + 1):
+                npt.assert_array_equal(search._best_tokens(table, n), want[:, :n])
+
+    def test_ties_at_the_cut_keep_the_lowest_ids(self):
+        npt.assert_array_equal(search._best_tokens(np.zeros((2, 12)), 3), [[0, 1, 2]] * 2)
+        row = tie_at_the_cut_row()[None, :]
+        npt.assert_array_equal(search._best_tokens(row, 4), [[7, 2, 9, 1]])
+        npt.assert_array_equal(search._best_tokens(row, 5), [[7, 2, 9, 1, 5]])
+
+    def test_beams_follow_the_oracle_on_tied_tables(self):
+        rng = np.random.default_rng(12)
+        V = 7
+        tables = [np.full((V, V), 1.0 / V)]
+        for _ in range(8):
+            weights = rng.integers(1, 4, size=(V, V)).astype(float)
+            tables.append(weights / weights.sum(axis=1, keepdims=True))
+        for probs in tables:
+            for beam in (2, 3, 5):
+                for length_normalize in (False, True):
+                    batched, single = PrefixSession(probs), PrefixSession(probs)
+                    hyp = beam_decode(batched, beam, 5, length_normalize)
+                    tokens, score, _, finished = oracles.beam_search(
+                        single, beam, 5, length_normalize, EOS_ID
+                    )
+                    assert batched.stepped == single.stepped
+                    assert (hyp.tokens, hyp.score, hyp.finished) == (tokens, score, finished)
+
+
 class TestReplaceUnks:
     def make_hyp(self, tokens, alphas, finished=True):
-        return Hypothesis(tuple(tokens), -1.0, None, tuple(alphas), finished)
+        return Hypothesis(tuple(tokens), -1.0, tuple(alphas), finished)
 
     def vocab(self):
         return build_vocab([["big", "cats", "sleep"]], cap=10)

@@ -13,7 +13,7 @@ import oracles
 import toy_tasks
 from nsesimp import autodiff as ad
 from nsesimp.autodiff import Tape, Tensor, backward, grad_check
-from nsesimp.data import PAD_ID, UNK_ID, Vocabulary, build_vocab
+from nsesimp.data import PAD_ID, UNK_ID, Vocabulary
 from nsesimp.errors import ConfigError, FormatError, UsageError
 from nsesimp.metrics import EvalInstance, bleu_corpus, sari_corpus
 from nsesimp.model import DecodeSession, build_model
@@ -622,25 +622,47 @@ def test_dev_decode_scores_matches_a_local_decode_loop(kind, beam):
     model.decoder.out_b.data[UNK_ID] += 1.0
     sources = [src + ["zz-unseen"] for src, _ in corpus.pairs[:6]]
     references = [[tgt, tgt[::-1]] for _, tgt in corpus.pairs[:6]]
-    instances = []
-    for src, refs in zip(sources, references):
-        session = DecodeSession(model, src_vocab.encode(src))
-        if beam == 1:
-            hyp = greedy_decode(session, 7)
-        else:
-            hyp = beam_decode(session, beam, 7)
-        out = replace_unks(hyp, src, tgt_vocab)
-        instances.append(EvalInstance(source=src, output=out, references=refs))
-    assert any("zz-unseen" in i.output for i in instances)
-    want = (bleu_corpus(instances).score, sari_corpus(instances).score)
-    got = dev_decode_scores(model, sources, references, src_vocab, tgt_vocab, 7, beam)
+    # one call decodes each source at every beam, in the order given
+    beams = [beam, 4 - beam, beam]
+    want = []
+    for beam in beams:
+        instances = []
+        for src, refs in zip(sources, references):
+            session = DecodeSession(model, src_vocab.encode(src))
+            if beam == 1:
+                hyp = greedy_decode(session, 7)
+            else:
+                hyp = beam_decode(session, beam, 7)
+            out = replace_unks(hyp, src, tgt_vocab)
+            instances.append(EvalInstance(source=src, output=out, references=refs))
+        assert any("zz-unseen" in i.output for i in instances)
+        want.append((bleu_corpus(instances).score, sari_corpus(instances).score))
+    assert want[0] != want[1]
+    got = dev_decode_scores(model, sources, references, src_vocab, tgt_vocab, 7, beams)
     assert got == want
+
+
+def test_dev_decode_scores_encodes_each_source_once(monkeypatch):
+    model, corpus, src_vocab, tgt_vocab = _small_setup()
+    sessions = []
+
+    class CountedSession(DecodeSession):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sessions.append(self)
+
+    monkeypatch.setattr("nsesimp.training.DecodeSession", CountedSession)
+    sources = [src for src, _ in corpus.pairs[:4]]
+    references = [[tgt] for _, tgt in corpus.pairs[:4]]
+    scores = dev_decode_scores(model, sources, references, src_vocab, tgt_vocab, 5, [1, 3, 5])
+    assert len(scores) == 3
+    assert len(sessions) == len(sources)
 
 
 def test_decode_tokens_of_empty_source_is_empty():
     model, _, src_vocab, tgt_vocab = _small_setup()
-    assert decode_tokens(model, [], src_vocab, tgt_vocab) == []
-    assert decode_tokens(model, [], src_vocab, tgt_vocab, beam=3) == []
+    assert decode_tokens(model, [], src_vocab, tgt_vocab) == [[]]
+    assert decode_tokens(model, [], src_vocab, tgt_vocab, beams=[3, 1]) == [[], []]
 
 
 # ---------------------------------------------------------------------------
