@@ -16,7 +16,7 @@ backward rules short enough to audit by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,43 +105,108 @@ def _emit(data: Array, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
+class _Outer(NamedTuple):
+    """The gradient ``np.outer(g, x)`` of a weight, kept as its two factors.
+
+    A weight used at many steps of a recurrence gets one of these per step;
+    :func:`backward` sums them all with a single matrix product instead of
+    forming and adding a weight-sized outer product per step.
+    """
+
+    g: Array
+    x: Array
+
+
+class _Rows(NamedTuple):
+    """The gradient of gathering rows ``idx`` of a table: ``g`` at those rows.
+
+    :func:`backward` adds these straight into a trainable table's ``grad``,
+    so an embedding gather costs no table-sized gradient array per backward.
+    """
+
+    idx: Array
+    g: Array
+
+
+def _resolve(parts: list, dense: Array | None, shape) -> Array:
+    """Sum of the deferred parts (and of ``dense``) as a fresh array."""
+    outers = [p for p in parts if type(p) is _Outer]
+    if outers:
+        total = np.stack([o.g for o in outers]).T @ np.stack([o.x for o in outers])
+        if dense is not None:
+            total += dense
+    else:
+        total = np.zeros(shape) if dense is None else dense.copy()
+    for p in parts:
+        if type(p) is _Rows:
+            np.add.at(total, p.idx, p.g)
+    return total
+
+
+def _scatter_rows(t: Tensor, parts: list[_Rows]) -> None:
+    # duplicate ids are summed first, in order, so t.grad gets one total per
+    # row and repeated calls add up bitwise like separate gradients
+    ids, inv = np.unique(np.concatenate([p.idx for p in parts]), return_inverse=True)
+    rows = np.zeros((ids.size,) + t.shape[1:])
+    np.add.at(rows, inv, np.concatenate([p.g for p in parts]))
+    if t.grad is None:
+        t.grad = np.zeros(t.shape)
+    t.grad[ids] += rows
+
+
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     Repeated calls without zeroing accumulate.  Tensors with
-    ``requires_grad=False`` are skipped silently.
+    ``requires_grad=False`` are skipped silently.  A trainable weight's
+    per-step outer products and a trainable table's gathered rows are
+    collected during the sweep and added to its ``grad`` once, at the end.
     """
     if loss.shape != ():
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
     grads: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
+    deferred: dict[int, list] = {}
     owners: dict[int, Tensor] = {id(loss): loss}
     for node in reversed(tape.nodes):
-        g_out = grads.pop(id(node.out), None)
+        k_out = id(node.out)
+        g_out = grads.pop(k_out, None)
+        if k_out in deferred:
+            g_out = _resolve(deferred.pop(k_out), g_out, node.out.shape)
         if g_out is None:
             continue
-        owners.pop(id(node.out), None)
+        owners.pop(k_out, None)
         if node.out.requires_grad:
             _accumulate(node.out, g_out)
         for t, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None:
                 continue
             k = id(t)
-            if k in grads:
+            owners[k] = t
+            if isinstance(g, (_Outer, _Rows)):
+                deferred.setdefault(k, []).append(g)
+            elif k in grads:
                 grads[k] = grads[k] + g
             else:
                 grads[k] = g
-                owners[k] = t
-    for k, g in grads.items():
-        t = owners[k]
-        if t.requires_grad:
-            _accumulate(t, g)
+    for k, t in owners.items():
+        if not t.requires_grad:
+            continue
+        parts = deferred.get(k)
+        if parts is None:
+            _accumulate(t, grads[k])
+        elif k not in grads and all(type(p) is _Rows for p in parts):
+            _scatter_rows(t, parts)
+        else:
+            _accumulate(t, _resolve(parts, grads.get(k), t.shape), owned=True)
 
 
-def _accumulate(t: Tensor, g: Array) -> None:
+def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:
     # t.grad is always a buffer of t's own (a copy or an earlier sum), so it
-    # can be added to in place; g may alias other gradients, so it is copied.
+    # can be added to in place; g may alias other gradients, so it is copied
+    # unless the caller made it for t alone.  Each backward adds one total
+    # per tensor, so repeated calls sum bitwise like separate gradients.
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if owned else g.copy()
     else:
         t.grad += g
 
@@ -221,7 +286,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             raise DimensionError(f"matmul {ad.shape} x {bd.shape}")
 
         def bw(g):
-            return np.outer(g, bd), ad.T @ g
+            # a trainable weight's per-step products are summed by backward()
+            ga = _Outer(g, bd) if a.requires_grad else np.outer(g, bd)
+            return ga, ad.T @ g
 
     elif ad.ndim == 1 and bd.ndim == 2:
         if ad.shape[0] != bd.shape[0]:
@@ -401,9 +468,7 @@ def take_rows(m: Tensor, ids) -> Tensor:
         raise IndexError(f"row id out of range for {md.shape[0]} rows")
 
     def bw(g):
-        z = np.zeros_like(md)
-        np.add.at(z, idx, g)
-        return (z,)
+        return (_Rows(idx, g),)
 
     return _emit(md[idx], (m,), bw)
 

@@ -159,7 +159,8 @@ def clip_global_norm(params, max_norm: float) -> float:
     for p in params:
         if p.grad is None:
             raise UsageError("parameter has no gradient; run backward first")
-        total += float((p.grad * p.grad).sum())
+        g = p.grad.reshape(-1)
+        total += float(np.vdot(g, g))
     norm = total**0.5
     if norm > max_norm > 0:
         factor = max_norm / norm
@@ -333,14 +334,22 @@ def make_checkpoint(
     )
 
 
+class _Unfilled:
+    """Stands in for ``build_model``'s generator: uninitialised arrays.
+
+    ``restore_model`` replaces every parameter, so drawing random values
+    for them first would be wasted work.
+    """
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 def restore_model(ckpt: Checkpoint) -> Model:
     """Rebuild a live float64 model from stored float32 parameters."""
     model = build_model(
-        ckpt.encoder_kind,
-        ckpt.dim,
-        ckpt.src_vocab.size,
-        ckpt.tgt_vocab.size,
-        np.random.default_rng(0),
+        ckpt.encoder_kind, ckpt.dim, ckpt.src_vocab.size, ckpt.tgt_vocab.size, _Unfilled()
     )
     live = model.named_params()
     if len(live) != len(ckpt.params):
@@ -354,7 +363,7 @@ def restore_model(ckpt: Checkpoint) -> Model:
             raise FormatError(
                 f"parameter {got_name!r} has shape {arr.shape}, expected {tensor.shape}"
             )
-        np.copyto(tensor.data, arr)
+        tensor.data = arr.astype(np.float64)
     return model
 
 

@@ -170,6 +170,210 @@ class TestAffineRows:
                 ad.affine_rows(*args)
 
 
+def _close(got, want, rtol=1e-12):
+    """Within rtol of want's largest entry; an all-zero want must be met exactly."""
+    return np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestDeferredWeightGradient:
+    """A trainable weight's per-step outer products, summed by backward()."""
+
+    @staticmethod
+    def _recurrence(W, U, xs):
+        # h_t = tanh(W x_t + U h_{t-1}); every product's output is marked
+        # requires_grad so that backward leaves its upstream gradient there
+        h = Tensor(np.zeros(U.shape[0]))
+        uses = []
+        for x in xs:
+            wx, uh = ad.matmul(W, x), ad.matmul(U, h)
+            wx.requires_grad = uh.requires_grad = True
+            uses += [(W, wx, x), (U, uh, h)]
+            h = ad.tanh(ad.add(wx, uh))
+        return ad.sum_all(ad.mul(h, h)), uses
+
+    @pytest.mark.parametrize("T", [1, 12])
+    def test_equals_the_per_use_outer_sum(self, T):
+        rng = np.random.default_rng(50 + T)
+        W = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        U = Tensor(rng.normal(size=(6, 6)) * 0.5, requires_grad=True)
+        xs = [Tensor(rng.normal(size=4)) for _ in range(T)]
+        with Tape() as tape:
+            loss, uses = self._recurrence(W, U, xs)
+        backward(loss, tape)
+        for leaf in (W, U):
+            want = sum(np.outer(out.grad, x.data) for w, out, x in uses if w is leaf)
+            assert _close(leaf.grad, want)
+
+    def test_vector_and_row_uses_of_one_weight(self):
+        rng = np.random.default_rng(52)
+        W = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=3))
+        X = Tensor(rng.normal(size=(4, 3)))
+        with Tape() as tape:
+            vec, rows = ad.matmul(W, x), ad.affine_rows(X, W)
+            vec.requires_grad = rows.requires_grad = True
+            loss = ad.add(ad.sum_all(ad.tanh(vec)), ad.sum_all(ad.mul(rows, rows)))
+        backward(loss, tape)
+        want = np.outer(vec.grad, x.data) + rows.grad.T @ X.data
+        assert _close(W.grad, want)
+
+    def test_repeated_backward_sums_bitwise_like_separate_gradients(self):
+        rng = np.random.default_rng(53)
+        W = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        U = Tensor(rng.normal(size=(6, 6)) * 0.5, requires_grad=True)
+        X = Tensor(rng.normal(size=(2, 4)))  # a row use of W beside its vector uses
+        runs = [[Tensor(rng.normal(size=4)) for _ in range(5)] for _ in range(2)]
+
+        def loss(xs):
+            out, _ = self._recurrence(W, U, xs)
+            return ad.add(out, ad.sum_all(ad.tanh(ad.affine_rows(X, W))))
+
+        separate = []
+        for xs in runs:
+            W.grad = U.grad = None
+            with Tape() as tape:
+                out = loss(xs)
+            backward(out, tape)
+            separate.append((W.grad.copy(), U.grad.copy()))
+        W.grad = U.grad = None
+        for xs in runs:
+            with Tape() as tape:
+                out = loss(xs)
+            backward(out, tape)
+        for t, first, second in zip((W, U), *separate):
+            assert np.array_equal(t.grad, first + second)
+
+    def _non_leaf_products(self, mark):
+        rng = np.random.default_rng(54)
+        W = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        xs = [Tensor(rng.normal(size=3)) for _ in range(4)]
+        with Tape() as tape:
+            M = ad.scale(W, 2.0)  # a matrix made by an op, not a leaf
+            M.requires_grad = mark
+            outs = [ad.matmul(M, x) for x in xs]
+            for o in outs:
+                o.requires_grad = True
+            loss = ad.sum_all(ad.tanh(ad.stack_rows(outs)))
+        backward(loss, tape)
+        want = sum(np.outer(o.grad, x.data) for o, x in zip(outs, xs))
+        return W, M, want
+
+    def test_non_leaf_matrix_keeps_its_dense_outer_products(self, monkeypatch):
+        outer = np.outer
+        calls = []
+        monkeypatch.setattr(np, "outer", lambda a, b: calls.append(1) or outer(a, b))
+        W, M, want = self._non_leaf_products(mark=False)
+        assert len(calls) == 4 + 4  # one per use in backward, one per use in `want`
+        assert M.grad is None
+        assert _close(W.grad, 2.0 * want)
+
+    def test_marked_intermediate_matrix_passes_its_gradient_on(self):
+        W, M, want = self._non_leaf_products(mark=True)
+        assert _close(M.grad, want)
+        assert _close(W.grad, 2.0 * want)
+
+    def test_lstm_encoder_forms_each_weight_gradient_with_one_product(self, monkeypatch):
+        from nsesimp.encoders import LstmEncoderParams, lstm_encode
+
+        H, T = 3, 20
+        p = LstmEncoderParams.create(H, np.random.default_rng(55))
+        emb = Tensor(np.random.default_rng(56).normal(size=(T, H)))
+        weights = [p.layer1.W_x, p.layer1.W_h, p.layer2.W_x, p.layer2.W_h]
+        outer, resolve, accumulate = np.outer, ad._resolve, ad._accumulate
+        outer_shapes, steps_behind, accumulated = [], {}, {}
+
+        def counting_outer(a, b):
+            outer_shapes.append((np.size(a), np.size(b)))
+            return outer(a, b)
+
+        def counting_resolve(parts, dense, shape):
+            total = resolve(parts, dense, shape)
+            steps_behind[id(total)] = len(parts)
+            return total
+
+        def counting_accumulate(t, g, owned=False):
+            accumulated.setdefault(id(t), []).append(g)
+            accumulate(t, g, owned)
+
+        monkeypatch.setattr(np, "outer", counting_outer)
+        monkeypatch.setattr(ad, "_resolve", counting_resolve)
+        monkeypatch.setattr(ad, "_accumulate", counting_accumulate)
+        with Tape() as tape:
+            loss = ad.sum_all(lstm_encode(p, emb).states)
+        backward(loss, tape)
+        assert (4 * H, H) not in outer_shapes
+        for W in weights:
+            [g] = accumulated[id(W)]
+            assert steps_behind[id(g)] == T
+
+
+class TestTableRowGradient:
+    """Rows gathered from a trainable table are scattered into its grad."""
+
+    IDS = ([2, 5, 2, 0], [5, 5, 1])
+
+    def _gathers(self, E, probes):
+        uses = [ad.take_rows(E, ids) for ids in self.IDS]
+        for u in uses:
+            u.requires_grad = True
+        parts = [ad.sum_all(ad.tanh(ad.mul(u, p))) for u, p in zip(uses, probes)]
+        return ad.add(*parts), uses
+
+    def test_equals_the_dense_scatter(self):
+        rng = np.random.default_rng(57)
+        E = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        probes = [Tensor(rng.normal(size=(len(ids), 3))) for ids in self.IDS]
+        with Tape() as tape:
+            loss, uses = self._gathers(E, probes)
+        backward(loss, tape)
+        want = np.zeros((7, 3))
+        for ids, u in zip(self.IDS, uses):
+            np.add.at(want, ids, u.grad)
+        assert _close(E.grad, want)
+        assert not E.grad[[3, 4, 6]].any()
+
+    def test_repeated_backward_sums_bitwise_like_separate_gradients(self):
+        rng = np.random.default_rng(58)
+        E = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        runs = [[Tensor(rng.normal(size=(len(ids), 3))) for ids in self.IDS] for _ in range(2)]
+        separate = []
+        for probes in runs:
+            E.grad = None
+            with Tape() as tape:
+                loss, _ = self._gathers(E, probes)
+            backward(loss, tape)
+            separate.append(E.grad.copy())
+        E.grad = None
+        for probes in runs:
+            with Tape() as tape:
+                loss, _ = self._gathers(E, probes)
+            backward(loss, tape)
+        assert np.array_equal(E.grad, separate[0] + separate[1])
+
+    def test_table_made_by_an_op_passes_its_gradient_on(self):
+        rng = np.random.default_rng(60)
+        E = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        probes = [Tensor(rng.normal(size=(len(ids), 3))) for ids in self.IDS]
+        with Tape() as tape:
+            loss, uses = self._gathers(ad.scale(E, 2.0), probes)
+        backward(loss, tape)
+        want = np.zeros((7, 3))
+        for ids, u in zip(self.IDS, uses):
+            np.add.at(want, ids, u.grad)
+        assert _close(E.grad, 2.0 * want)
+
+    def test_table_also_used_as_a_matrix(self):
+        # gathered rows, a single row and a matrix-vector product of one table
+        rng = np.random.default_rng(59)
+        E = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=3))
+        gathered = lambda: ad.tanh(ad.reshape(ad.take_rows(E, [4, 1, 4]), (9,)))
+        check_op(
+            lambda: ad.concat(ad.concat(ad.matmul(E, x), gathered()), ad.tanh(ad.row(E, 1))),
+            [E],
+        )
+
+
 class TestActivations:
     def test_sigmoid_oracle(self):
         # sigmoid(ln 3) = 3/(3+1) = 0.75 exactly

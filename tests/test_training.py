@@ -277,6 +277,20 @@ def test_clip_leaves_small_gradients_alone():
     assert np.array_equal(a.grad, np.array([0.3, 0.4]))
 
 
+def test_clip_norm_matches_the_elementwise_formula():
+    rng = np.random.default_rng(15)
+    params = [_param(np.zeros(shape)) for shape in ((40, 30), (17,), (3, 200))]
+    for p in params:
+        p.grad = rng.normal(size=p.data.shape) * 3.0
+    before = [p.grad.copy() for p in params]
+    want = math.sqrt(sum(float((g * g).sum()) for g in before))
+    norm = clip_global_norm(params, 1.0)
+    assert abs(norm - want) <= 1e-12 * want
+    factor = 1.0 / norm
+    for p, g in zip(params, before):
+        np.testing.assert_allclose(p.grad, g * factor, rtol=1e-14, atol=0)
+
+
 def test_clip_missing_gradient_rejected():
     with pytest.raises(UsageError):
         clip_global_norm([_param([1.0])], 5.0)
