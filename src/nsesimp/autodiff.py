@@ -10,7 +10,9 @@ replays the tape once, in reverse, and accumulates gradients into the
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes,
 a vector broadcast over the rows of a matrix, or a column broadcast over
 a matrix.  Everything else is a :class:`DimensionError`, which keeps the
-backward rules short enough to audit by hand.
+backward rules short enough to audit by hand.  The products, softmaxes and
+shape ops take matrices only: one sequence's state is a [1, n] row, and k
+sequences step together as [k, n] rows.
 """
 
 from __future__ import annotations
@@ -106,11 +108,12 @@ def _emit(data: Array, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 class _Outer(NamedTuple):
-    """The gradient ``np.outer(g, x)`` of a weight, kept as its two factors.
+    """The gradient ``g.T @ x`` of a weight, kept as its two row blocks.
 
-    A weight used at many steps of a recurrence gets one of these per step;
-    :func:`backward` sums them all with a single matrix product instead of
-    forming and adding a weight-sized outer product per step.
+    ``g`` is [n, O] and ``x`` is [n, I].  A weight used at many steps of a
+    recurrence gets one of these per step; :func:`backward` sums them all
+    with a single matrix product instead of forming and adding a
+    weight-sized product per step.
     """
 
     g: Array
@@ -132,14 +135,17 @@ def _resolve(parts: list, dense: Array | None, shape) -> Array:
     """Sum of the deferred parts (and of ``dense``) as a fresh array."""
     outers = [p for p in parts if type(p) is _Outer]
     if outers:
-        total = np.stack([o.g for o in outers]).T @ np.stack([o.x for o in outers])
+        G = np.concatenate([o.g for o in outers])
+        total = G.T @ np.concatenate([o.x for o in outers])
         if dense is not None:
             total += dense
     else:
         total = np.zeros(shape) if dense is None else dense.copy()
-    for p in parts:
-        if type(p) is _Rows:
-            np.add.at(total, p.idx, p.g)
+    rows = [p for p in parts if type(p) is _Rows]
+    if rows:
+        # ufunc.at adds in order, so one call is bitwise one call per part
+        idx = np.concatenate([p.idx for p in rows])
+        np.add.at(total, idx, np.concatenate([p.g for p in rows]))
     return total
 
 
@@ -273,42 +279,25 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two matrices."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise DimensionError(f"matmul {ad.shape} x {bd.shape}")
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise DimensionError(f"matmul {ad.shape} x {bd.shape}")
 
-        def bw(g):
-            return g @ bd.T, ad.T @ g
+    def bw(g):
+        return g @ bd.T, ad.T @ g
 
-    elif ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise DimensionError(f"matmul {ad.shape} x {bd.shape}")
-
-        def bw(g):
-            # a trainable weight's per-step products are summed by backward()
-            ga = _Outer(g, bd) if a.requires_grad else np.outer(g, bd)
-            return ga, ad.T @ g
-
-    elif ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise DimensionError(f"matmul {ad.shape} x {bd.shape}")
-
-        def bw(g):
-            return bd @ g, np.outer(ad, g)
-
-    else:
-        raise DimensionError(f"matmul unsupported ranks {ad.shape} x {bd.shape}")
     return _emit(ad @ bd, (a, b), bw)
 
 
 def affine_rows(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     """Row-wise affine map: out[t] = W x[t] + b for x [T, I], W [O, I], b [O].
 
-    One node for a whole sequence, so W's gradient is a single g^T x matmul
-    instead of one outer product per row.  With ``b=None`` it is the plain
-    product x Wᵀ.  A one-row x gives the same bits as ``matmul(W, x[0])``:
-    numpy hands both to the same BLAS matrix-vector call.
+    With ``b=None`` it is the plain product x Wᵀ.  A trainable W's gradient
+    is kept as the row blocks (g, x), so :func:`backward` sums the uses of a
+    weight at every step of a recurrence with one Gᵀ·X product.  A one-row
+    x gives the same bits as the matrix-vector product ``W @ x[0]``: numpy
+    hands both to the same BLAS call.
     """
     xd, Wd = x.data, W.data
     bsh = None if b is None else b.shape
@@ -321,7 +310,7 @@ def affine_rows(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
         raise DimensionError(f"affine_rows x{xd.shape}, W{Wd.shape}, b{bsh}")
 
     def bw(g):
-        grads = (g @ Wd, g.T @ xd)
+        grads = (g @ Wd, _Outer(g, xd) if W.requires_grad else g.T @ xd)
         return grads if b is None else grads + (g.sum(axis=0),)
 
     if b is None:
@@ -353,44 +342,36 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(out, (x,), bw)
 
 
-def _as_rows(xd: Array) -> tuple[Array, bool]:
-    if xd.ndim == 1:
-        return xd[None, :], True
-    if xd.ndim == 2:
-        return xd, False
-    raise DimensionError(f"expected vector or matrix, got shape {xd.shape}")
+def _check_matrix(op: str, xd: Array) -> None:
+    if xd.ndim != 2:
+        raise DimensionError(f"{op} expects a matrix, got shape {xd.shape}")
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction; a vector is a single row."""
-    m, one_d = _as_rows(x.data)
+    """Row-wise softmax of a matrix, with max-subtraction."""
+    m = x.data
+    _check_matrix("softmax_rows", m)
     z = m - m.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    out = p[0] if one_d else p
 
     def bw(g):
-        gm = g[None, :] if one_d else g
-        dx = p * (gm - (gm * p).sum(axis=1, keepdims=True))
-        return (dx[0] if one_d else dx,)
+        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
 
-    return _emit(out, (x,), bw)
+    return _emit(p, (x,), bw)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
-    m, one_d = _as_rows(x.data)
+    """Row-wise log-softmax of a matrix."""
+    m = x.data
+    _check_matrix("log_softmax_rows", m)
     z = m - m.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out2 = z - lse
-    out = out2[0] if one_d else out2
+    out = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
     def bw(g):
         # the probabilities are only needed here, so tape-free decoding
         # never pays for a second V-sized exp
-        p = np.exp(out2)
-        gm = g[None, :] if one_d else g
-        dx = gm - p * gm.sum(axis=1, keepdims=True)
-        return (dx[0] if one_d else dx,)
+        return (g - np.exp(out) * g.sum(axis=1, keepdims=True),)
 
     return _emit(out, (x,), bw)
 
@@ -400,34 +381,31 @@ def log_softmax_rows(x: Tensor) -> Tensor:
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the last axis; leading dims must agree."""
+    """Join two matrices side by side; their row counts must agree."""
     ad, bd = a.data, b.data
-    if ad.ndim != bd.ndim or ad.ndim not in (1, 2):
-        raise DimensionError(f"concat ranks {ad.shape} and {bd.shape}")
-    if ad.ndim == 2 and ad.shape[0] != bd.shape[0]:
-        raise DimensionError(f"concat leading dims {ad.shape} and {bd.shape}")
-    split = ad.shape[-1]
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[0] != bd.shape[0]:
+        raise DimensionError(f"concat {ad.shape} and {bd.shape}")
+    split = ad.shape[1]
 
     def bw(g):
-        return g[..., :split], g[..., split:]
+        return g[:, :split], g[:, split:]
 
-    return _emit(np.concatenate([ad, bd], axis=-1), (a, b), bw)
+    return _emit(np.concatenate([ad, bd], axis=1), (a, b), bw)
 
 
 def narrow(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Contiguous slice of a vector, or the same columns of every matrix row."""
+    """Columns ``lo:hi`` of every row of a matrix."""
     xd = x.data
-    if xd.ndim not in (1, 2):
-        raise DimensionError("narrow expects a vector or a matrix")
-    if not (0 <= lo <= hi <= xd.shape[-1]):
-        raise DimensionError(f"narrow [{lo}:{hi}] outside length {xd.shape[-1]}")
+    _check_matrix("narrow", xd)
+    if not (0 <= lo <= hi <= xd.shape[1]):
+        raise DimensionError(f"narrow [{lo}:{hi}] outside width {xd.shape[1]}")
 
     def bw(g):
         z = np.zeros_like(xd)
-        z[..., lo:hi] = g
+        z[:, lo:hi] = g
         return (z,)
 
-    return _emit(xd[..., lo:hi].copy(), (x,), bw)
+    return _emit(xd[:, lo:hi].copy(), (x,), bw)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -441,26 +419,24 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit(x.data.reshape(shape), (x,), bw)
 
 
-def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one per row."""
-    if not vectors:
+def stack_rows(rows: Sequence[Tensor]) -> Tensor:
+    """Stack equal-width [1, n] rows into an [m, n] matrix, in order."""
+    if not rows:
         raise UsageError("stack_rows of nothing")
-    n = vectors[0].shape
-    for v in vectors:
-        if v.data.ndim != 1 or v.shape != n:
-            raise DimensionError("stack_rows expects equal-length vectors")
+    shape = rows[0].shape
+    if len(shape) != 2 or shape[0] != 1 or any(r.shape != shape for r in rows):
+        raise DimensionError("stack_rows expects equal-width [1, n] rows")
 
     def bw(g):
-        return tuple(g[i] for i in range(len(vectors)))
+        return tuple(g[i : i + 1] for i in range(len(rows)))
 
-    return _emit(np.stack([v.data for v in vectors]), tuple(vectors), bw)
+    return _emit(np.concatenate([r.data for r in rows]), tuple(rows), bw)
 
 
 def take_rows(m: Tensor, ids) -> Tensor:
     """Gather rows of a matrix by index; duplicate ids sum their gradients."""
     md = m.data
-    if md.ndim != 2:
-        raise DimensionError("take_rows expects a matrix")
+    _check_matrix("take_rows", md)
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
         raise DimensionError("take_rows expects a flat id sequence")
@@ -473,27 +449,10 @@ def take_rows(m: Tensor, ids) -> Tensor:
     return _emit(md[idx], (m,), bw)
 
 
-def row(m: Tensor, i: int) -> Tensor:
-    """Single row of a matrix as a vector."""
-    md = m.data
-    if md.ndim != 2:
-        raise DimensionError("row expects a matrix")
-    if not 0 <= i < md.shape[0]:
-        raise IndexError(f"row {i} out of range for {md.shape[0]} rows")
-
-    def bw(g):
-        z = np.zeros_like(md)
-        z[i] = g
-        return (z,)
-
-    return _emit(md[i].copy(), (m,), bw)
-
-
 def gather_rows(m: Tensor, ids) -> Tensor:
     """Pick one entry per row: out[t] = m[t, ids[t]]."""
     md = m.data
-    if md.ndim != 2:
-        raise DimensionError("gather_rows expects a matrix")
+    _check_matrix("gather_rows", md)
     idx = np.asarray(ids, dtype=np.intp)
     if idx.shape != (md.shape[0],):
         raise DimensionError("gather_rows needs one id per row")
@@ -507,22 +466,6 @@ def gather_rows(m: Tensor, ids) -> Tensor:
         return (z,)
 
     return _emit(md[rows_ix, idx], (m,), bw)
-
-
-def pick(x: Tensor, i: int) -> Tensor:
-    """Scalar entry of a vector."""
-    xd = x.data
-    if xd.ndim != 1:
-        raise DimensionError("pick expects a vector")
-    if not 0 <= i < xd.shape[0]:
-        raise IndexError(f"index {i} out of range")
-
-    def bw(g):
-        z = np.zeros_like(xd)
-        z[i] = g
-        return (z,)
-
-    return _emit(np.asarray(xd[i]), (x,), bw)
 
 
 # ---------------------------------------------------------------------------

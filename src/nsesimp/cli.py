@@ -130,6 +130,11 @@ def echo_options(options: dict) -> None:
         _err(f"{key}={options[key]}")
 
 
+def _check_max_len(max_len: int) -> None:
+    if max_len < 1:
+        raise ConfigError(f"max-len {max_len} must be at least 1")
+
+
 def _parse_beams(text: str) -> list:
     try:
         beams = [int(x.strip()) for x in text.split(",") if x.strip()]
@@ -281,8 +286,6 @@ def cmd_train(ns) -> int:
 
 
 def cmd_simplify(ns) -> int:
-    ckpt = _read_checkpoint(ns.checkpoint)
-    model = restore_model(ckpt)
     echo_options(
         {
             "checkpoint": ns.checkpoint,
@@ -291,8 +294,11 @@ def cmd_simplify(ns) -> int:
             "length_normalize": ns.length_normalize,
         }
     )
-    if ns.beam < 1 or ns.max_len < 1:
-        raise ConfigError("beam and max-len must be at least 1")
+    if ns.beam < 1:
+        raise ConfigError(f"beam {ns.beam} must be at least 1")
+    _check_max_len(ns.max_len)
+    ckpt = _read_checkpoint(ns.checkpoint)
+    model = restore_model(ckpt)
     for line in _read_lines(ns.input):
         tokens = line.split()
         [out] = decode_tokens(
@@ -314,8 +320,6 @@ def cmd_simplify(ns) -> int:
 
 def cmd_evaluate(ns) -> int:
     beams = _parse_beams(ns.beams)
-    ckpt = _read_checkpoint(ns.checkpoint)
-    model = restore_model(ckpt)
     echo_options(
         {
             "checkpoint": ns.checkpoint,
@@ -326,6 +330,9 @@ def cmd_evaluate(ns) -> int:
             "length_normalize": ns.length_normalize,
         }
     )
+    _check_max_len(ns.max_len)
+    ckpt = _read_checkpoint(ns.checkpoint)
+    model = restore_model(ckpt)
     sources = [line.split() for line in _read_lines(ns.src)]
     references = load_references(ns.refs, expected=len(sources))
     scores = dev_decode_scores(
@@ -355,9 +362,10 @@ def cmd_evaluate(ns) -> int:
 
 
 def cmd_inspect(ns) -> int:
+    echo_options({"checkpoint": ns.checkpoint, "max_len": ns.max_len})
+    _check_max_len(ns.max_len)
     ckpt = _read_checkpoint(ns.checkpoint)
     model = restore_model(ckpt)
-    echo_options({"checkpoint": ns.checkpoint, "max_len": ns.max_len})
     if ns.sentence is not None:
         tokens = ns.sentence.split()
     else:
@@ -385,7 +393,7 @@ def cmd_inspect(ns) -> int:
         slot_width = max(width, 7)
         print(" " * label_width + "".join(f"{t:>{slot_width}}" for t in tokens))
         for step_tok, sigma in zip(tokens, session.encoder_output.slot_weights):
-            cells = "".join(f"{s:>{slot_width}.3f}" for s in sigma.data)
+            cells = "".join(f"{s:>{slot_width}.3f}" for s in sigma)
             print(f"{step_tok:>{label_width}}{cells}")
     else:
         print()

@@ -58,9 +58,6 @@ class Vocabulary:
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.id(t) for t in tokens]
 
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
-
     @staticmethod
     def from_tokens(tokens: Iterable[str]) -> "Vocabulary":
         id_to_token = list(RESERVED_TOKENS)

@@ -7,9 +7,9 @@ context] into layer 1, layer 1's output into layer 2, and projects
 learned tanh-linear map of the encoder's final (h, c), shared by both
 layers; generation starts from the sentence-begin token.
 
-A state is either one sequence's [H] vectors (teacher forcing) or k
-hypotheses' [k, H] rows (decoding); the step functions take both, and the
-row form steps every hypothesis with one matrix product per weight.
+A state holds k sequences as [k, H] rows: one for teacher forcing, one
+per hypothesis for decoding.  A step advances every row with one matrix
+product per weight.
 """
 
 from __future__ import annotations
@@ -81,18 +81,18 @@ class DecoderParams:
 class DecoderState:
     """Immutable per-step decoder state; advance by building a new one.
 
-    ``h1``..``c2`` are [H] vectors with ``prev_token`` an id, or [k, H]
-    rows with ``prev_token`` a [k] id array, one row per hypothesis.
+    ``h1``..``c2`` are [k, H] rows with ``prev_token`` a [k] id array,
+    one row per sequence or hypothesis.
     """
 
     h1: Tensor
     c1: Tensor
     h2: Tensor
     c2: Tensor
-    prev_token: int | np.ndarray
+    prev_token: np.ndarray
 
     def select(self, rows, tokens) -> "DecoderState":
-        """Keep the given rows of a row state, in order, each with its next token."""
+        """Keep the given rows, in order, each with its next token."""
         h1, c1, h2, c2 = (ad.take_rows(t, rows) for t in (self.h1, self.c1, self.h2, self.c2))
         return DecoderState(h1, c1, h2, c2, np.asarray(tokens, dtype=np.intp))
 
@@ -104,23 +104,25 @@ def attend(s_prev: Tensor, states: Tensor):
     """
     if (
         states.data.ndim != 2
-        or s_prev.data.ndim not in (1, 2)
-        or s_prev.shape[-1] != states.shape[1]
+        or s_prev.data.ndim != 2
+        or s_prev.shape[1] != states.shape[1]
     ):
         raise DimensionError(
             f"attend got query {s_prev.shape} against states {states.shape}"
         )
-    scores = layers.project(states, s_prev)
-    alpha = ad.softmax_rows(scores)
+    alpha = ad.softmax_rows(ad.affine_rows(s_prev, states))
     context = ad.matmul(alpha, states)
     return alpha, context
 
 
 def init_decoder(p: DecoderParams, enc: EncoderOutput) -> DecoderState:
-    """Start state: tanh(map(final encoder h/c)), shared across both layers."""
-    h0 = ad.tanh(ad.matmul(p.init_h, enc.final_h))
-    c0 = ad.tanh(ad.matmul(p.init_c, enc.final_c))
-    return DecoderState(h1=h0, c1=c0, h2=h0, c2=c0, prev_token=BOS_ID)
+    """Start state: tanh(map(final encoder h/c)), shared across both layers.
+
+    One [1, H] row, a single hypothesis whose previous token is sentence-begin.
+    """
+    h0 = ad.tanh(ad.affine_rows(enc.final_h, p.init_h))
+    c0 = ad.tanh(ad.affine_rows(enc.final_c, p.init_c))
+    return DecoderState(h0, c0, h0, c0, np.array([BOS_ID], dtype=np.intp))
 
 
 def decoder_recurrence(
@@ -134,9 +136,9 @@ def decoder_recurrence(
 ):
     """Attention and both LSTM layers; returns (new_state, alpha, feature).
 
-    ``feature`` is [top state; context], the input of the output layer; a
-    row state takes one embedding row per hypothesis and gives one
-    feature row each.
+    ``feature`` is [top state; context], the input of the output layer; the
+    step takes one embedding row per state row and gives one feature row
+    each.
     Dropout (training only) applies to the token embedding and between the
     two layers, drawing from ``rng`` in that order.
     """
@@ -164,9 +166,8 @@ def decoder_step(
 ):
     """One decoding transition; returns (new_state, alpha, logits).
 
-    The caller chooses the emitted token from the logits; a row state's
-    logits are [k, V], one row per hypothesis, made by one product with
-    the output weights.
+    The caller chooses the emitted token from the logits; they are [k, V],
+    one row per state row, made by one product with the output weights.
     """
     new_state, alpha, feature = decoder_recurrence(
         p, state, y_prev_embedding, states, dropout_rate, training, rng

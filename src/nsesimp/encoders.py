@@ -2,12 +2,13 @@
 
 Both consume a [T, D] matrix of token embeddings and produce an
 :class:`EncoderOutput` whose ``states`` matrix ([T, D] here, since hidden
-width equals embedding width) is what the decoder attends over.
+width equals embedding width) is what the decoder attends over.  The
+recurrence steps one [1, D] row per token.
 
 The memory-augmented encoder keeps one memory row per source token,
 initialized with the raw embeddings.  Each step a read LSTM summarizes the
 next token, soft-attends over the memory, fuses the two through a small
-MLP, projects back with a write LSTM, and blends the written vector into
+MLP, projects back with a write LSTM, and blends the written row into
 the memory rows in proportion to the attention weights.
 """
 
@@ -28,8 +29,8 @@ class EncoderOutput:
     """What a decoder needs from an encoder, plus the memory trace for inspection.
 
     ``states``: [T, D] matrix attended over by the decoder.
-    ``final_h`` / ``final_c``: last hidden/cell state for decoder init.
-    ``slot_weights``: per-step memory attention rows (memory encoder only).
+    ``final_h`` / ``final_c``: last [1, H] hidden/cell state for decoder init.
+    ``slot_weights``: per-step [T] memory attention weights (memory encoder only).
     """
 
     states: Tensor
@@ -80,13 +81,10 @@ def lstm_encode(
     if T < 1:
         raise UsageError("cannot encode an empty sequence")
     H = p.layer1.hidden_dim
-    h1 = Tensor(np.zeros(H))
-    c1 = Tensor(np.zeros(H))
-    h2 = Tensor(np.zeros(H))
-    c2 = Tensor(np.zeros(H))
+    h1, c1, h2, c2 = (Tensor(np.zeros((1, H))) for _ in range(4))
     outputs = []
     for t in range(T):
-        x = ad.row(embeddings, t)
+        x = ad.take_rows(embeddings, [t])
         h1, c1 = layers.lstm_step(p.layer1, x, h1, c1)
         mid = h1
         if training and dropout_rate > 0.0:
@@ -136,39 +134,49 @@ class NseState:
 
 
 def nse_initial_state(embeddings: Tensor, hidden_dim: int) -> NseState:
-    """Zero LSTM states with memory rows set to the token embeddings."""
-    z = lambda: Tensor(np.zeros(hidden_dim))
+    """Zero [1, H] LSTM states with memory rows set to the token embeddings."""
+    z = lambda: Tensor(np.zeros((1, hidden_dim)))
     return NseState(read_h=z(), read_c=z(), write_h=z(), write_c=z(), memory=embeddings)
 
 
 def memory_retrieve(read_h: Tensor, memory: Tensor):
-    """Soft-read the memory: weights = softmax(M r), summary = weights M."""
-    if memory.data.ndim != 2 or read_h.shape != (memory.shape[1],):
+    """Soft-read the memory: weights = softmax(M r), summary = weights M.
+
+    ``read_h`` is a [1, D] row; the weights are [1, T] and the summary [1, D].
+    """
+    if memory.data.ndim != 2 or read_h.shape != (1, memory.shape[1]):
         raise DimensionError(
             f"retrieve got read state {read_h.shape} against memory {memory.shape}"
         )
-    scores = ad.matmul(memory, read_h)
-    weights = ad.softmax_rows(scores)
+    weights = ad.softmax_rows(ad.affine_rows(read_h, memory))
     summary = ad.matmul(weights, memory)
     return weights, summary
 
 
 def memory_update(memory: Tensor, weights: Tensor, written: Tensor) -> Tensor:
-    """Blend the written vector into each row: M_i <- (1-s_i) M_i + s_i w."""
-    if weights.shape != (memory.shape[0],) or written.shape != (memory.shape[1],):
+    """Blend the written row into each memory row: M_i <- (1-s_i) M_i + s_i w.
+
+    ``weights`` is [1, T] and ``written`` is [1, D] for a [T, D] memory.
+    """
+    if (
+        memory.data.ndim != 2
+        or weights.shape != (1, memory.shape[0])
+        or written.shape != (1, memory.shape[1])
+    ):
         raise DimensionError(
             f"update got weights {weights.shape}, written {written.shape} "
             f"against memory {memory.shape}"
         )
-    col = ad.reshape(weights, (memory.shape[0], 1))
-    return ad.add(memory, ad.mul(col, ad.sub(written, memory)))
+    T, D = memory.shape
+    col = ad.reshape(weights, (T, 1))
+    return ad.add(memory, ad.mul(col, ad.sub(ad.reshape(written, (D,)), memory)))
 
 
 def nse_step(p: NseEncoderParams, x_t: Tensor, state: NseState):
     """One read/compose/write transition.
 
     Returns ``(written, new_state, weights)`` where ``written`` is this
-    step's output vector and ``weights`` the memory attention row.
+    step's [1, D] output row and ``weights`` the [1, T] memory attention.
     """
     read_h, read_c = layers.lstm_step(p.read, x_t, state.read_h, state.read_c)
     weights, summary = memory_retrieve(read_h, state.memory)
@@ -205,7 +213,7 @@ def nse_encode(
     outputs = []
     slot_weights: list[np.ndarray] = []
     for t in range(T):
-        x = ad.row(embeddings, t)
+        x = ad.take_rows(embeddings, [t])
         if training and dropout_rate > 0.0:
             x = ad.dropout(x, dropout_rate, training, rng)
         written, state, weights = nse_step(p, x, state)
@@ -213,7 +221,7 @@ def nse_encode(
         if training and dropout_rate > 0.0:
             out_row = ad.dropout(out_row, dropout_rate, training, rng)
         outputs.append(out_row)
-        slot_weights.append(weights.data)
+        slot_weights.append(weights.data[0])
     return EncoderOutput(
         states=ad.stack_rows(outputs),
         final_h=state.write_h,

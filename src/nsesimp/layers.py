@@ -107,23 +107,22 @@ def lstm_step(p: LstmCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor):
     """One LSTM transition; returns the new (h, c) pair.
 
     c = sigmoid(f)*c_prev + sigmoid(i)*tanh(g),  h = sigmoid(o)*tanh(c),
-    where [i, f, g, o] are the four rows blocks of W_x x + W_h h_prev + b.
-    Vectors step one sequence; [k, I] and [k, H] matrices step k sequences
-    at once, one per row.
+    where [i, f, g, o] are the four column blocks of W_x x + W_h h_prev + b.
+    [k, I] inputs with [k, H] states step k sequences at once, one per row;
+    one sequence is k = 1.
     """
     H = p.hidden_dim
-    lead = x.shape[:-1]
     if (
-        len(lead) > 1
-        or x.shape != lead + (p.input_dim,)
-        or h_prev.shape != lead + (H,)
-        or c_prev.shape != lead + (H,)
+        x.data.ndim != 2
+        or x.shape[1] != p.input_dim
+        or h_prev.shape != (x.shape[0], H)
+        or c_prev.shape != (x.shape[0], H)
     ):
         raise DimensionError(
             f"lstm_step got x{x.shape}, h{h_prev.shape}, c{c_prev.shape} "
             f"for cell I={p.input_dim}, H={H}"
         )
-    z = ad.add(ad.add(project(p.W_x, x), project(p.W_h, h_prev)), p.b)
+    z = ad.add(ad.add(ad.affine_rows(x, p.W_x), ad.affine_rows(h_prev, p.W_h)), p.b)
     i = ad.sigmoid(ad.narrow(z, 0, H))
     f = ad.sigmoid(ad.narrow(z, H, 2 * H))
     g = ad.tanh(ad.narrow(z, 2 * H, 3 * H))
@@ -139,7 +138,7 @@ def lstm_step(p: LstmCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor):
 
 @dataclass
 class MlpParams:
-    """One-hidden-layer perceptron: W2 tanh(W1 x + b1) + b2."""
+    """One-hidden-layer perceptron: W2 tanh(W1 x + b1) + b2 of each row x."""
 
     W1: Tensor
     b1: Tensor
@@ -167,19 +166,10 @@ class MlpParams:
 
 
 def mlp(p: MlpParams, x: Tensor) -> Tensor:
-    hidden = ad.tanh(ad.add(ad.matmul(p.W1, x), p.b1))
-    return ad.add(ad.matmul(p.W2, hidden), p.b2)
-
-
-def project(W: Tensor, x: Tensor) -> Tensor:
-    """W x of a vector, or of each row of a [T, I] matrix."""
-    if x.data.ndim == 2:
-        return ad.affine_rows(x, W)
-    return ad.matmul(W, x)
+    hidden = ad.tanh(ad.affine_rows(x, p.W1, p.b1))
+    return ad.affine_rows(hidden, p.W2, p.b2)
 
 
 def linear(W: Tensor, b: Tensor, x: Tensor) -> Tensor:
-    """Affine map W x + b of a vector, or of each row of a [T, I] matrix."""
-    if x.data.ndim == 2:
-        return ad.affine_rows(x, W, b)
-    return ad.add(ad.matmul(W, x), b)
+    """Affine map W x + b of each row of a [T, I] matrix."""
+    return ad.affine_rows(x, W, b)

@@ -125,7 +125,7 @@ def teacher_logits(
     ``decoder_input_ids`` is the gold target shifted right, i.e. starts
     with the sentence-begin id.  The embedding gather and the output layer
     run once over the whole sentence, so each has a single V-sized
-    gradient; only the recurrence steps one token at a time.
+    gradient; only the recurrence steps one token at a time, as [1, ·] rows.
     """
     p = model.decoder
     state = init_decoder(p, enc)
@@ -133,7 +133,7 @@ def teacher_logits(
     features = []
     for t in range(inputs.shape[0]):
         state, _, feature = decoder_recurrence(
-            p, state, ad.row(inputs, t), enc.states, dropout_rate, training, rng
+            p, state, ad.take_rows(inputs, [t]), enc.states, dropout_rate, training, rng
         )
         features.append(feature)
     return layers.linear(p.out_w, p.out_b, ad.stack_rows(features))
@@ -157,9 +157,7 @@ class DecodeSession:
         self.encoder_output = encode(model, src_ids)
 
     def start(self) -> DecoderState:
-        s = init_decoder(self.model.decoder, self.encoder_output)
-        h1, c1, h2, c2 = (ad.stack_rows([t]) for t in (s.h1, s.c1, s.h2, s.c2))
-        return DecoderState(h1, c1, h2, c2, np.array([s.prev_token], dtype=np.intp))
+        return init_decoder(self.model.decoder, self.encoder_output)
 
     def step(self, state: DecoderState):
         y = ad.take_rows(self.model.tgt_embed.E, state.prev_token)

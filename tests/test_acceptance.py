@@ -85,10 +85,6 @@ def _op_checks():
 
     a, b, w = uni(3, 4), uni(4, 5), pos(3, 5)
     check("matmul mat-mat", [a, b], lambda a=a, b=b, w=w: ws(ad.matmul(a, b), w))
-    a, v, w = uni(3, 4), uni(4), pos(3)
-    check("matmul mat-vec", [a, v], lambda a=a, v=v, w=w: ws(ad.matmul(a, v), w))
-    v, b, w = uni(4), uni(4, 5), pos(5)
-    check("matmul vec-mat", [v, b], lambda v=v, b=b, w=w: ws(ad.matmul(v, b), w))
 
     x, w = uni(3, 4), pos(3, 4)
     check("sigmoid", [x], lambda x=x, w=w: ws(ad.sigmoid(x), w))
@@ -96,17 +92,14 @@ def _op_checks():
     x, w = uni(3, 5), pos(3, 5)
     check("softmax rows", [x], lambda x=x, w=w: ws(ad.softmax_rows(x), w))
     check("log-softmax rows", [x], lambda x=x, w=w: ws(ad.log_softmax_rows(x), w))
-    x, w = uni(5), pos(5)
-    check("softmax vector", [x], lambda x=x, w=w: ws(ad.softmax_rows(x), w))
-    check("log-softmax vector", [x], lambda x=x, w=w: ws(ad.log_softmax_rows(x), w))
 
-    a, b, w = uni(4), uni(3), pos(7)
+    a, b, w = uni(2, 4), uni(2, 3), pos(2, 7)
     check("concat", [a, b], lambda a=a, b=b, w=w: ws(ad.concat(a, b), w))
-    x, w = uni(8), pos(4)
+    x, w = uni(2, 8), pos(2, 4)
     check("narrow", [x], lambda x=x, w=w: ws(ad.narrow(x, 2, 6), w))
     x, w = uni(3, 4), pos(2, 6)
     check("reshape", [x], lambda x=x, w=w: ws(ad.reshape(x, (2, 6)), w))
-    a, b, c, w = uni(4), uni(4), uni(4), pos(3, 4)
+    a, b, c, w = uni(1, 4), uni(1, 4), uni(1, 4), pos(3, 4)
     check(
         "stack rows",
         [a, b, c],
@@ -118,12 +111,8 @@ def _op_checks():
         [m],
         lambda m=m, w=w: ws(ad.take_rows(m, [0, 2, 2, 5]), w),
     )
-    m, w = uni(3, 4), pos(4)
-    check("single row", [m], lambda m=m, w=w: ws(ad.row(m, 1), w))
     m, w = uni(3, 5), pos(3)
     check("gather one per row", [m], lambda m=m, w=w: ws(ad.gather_rows(m, [1, 0, 4]), w))
-    x = uni(6)
-    check("pick element", [x], lambda x=x: ad.scale(ad.pick(x, 2), 1.7))
     x = uni(3, 4)
     check("sum all", [x], lambda x=x: ad.sum_all(x))
     x, w = uni(3, 4), pos(3, 4)
@@ -143,8 +132,8 @@ def _op_checks():
         lambda table=table, w=w: ws(layers.embed(table, [1, 3, 1]), w),
     )
     cell = LstmCellParams.create(4, 3, rng)
-    x, h, c = uni(4), uni(3), uni(3)
-    w1, w2 = pos(3), pos(3)
+    x, h, c = uni(1, 4), uni(1, 3), uni(1, 3)
+    w1, w2 = pos(1, 3), pos(1, 3)
     def lstm_fn(cell=cell, x=x, h=h, c=c, w1=w1, w2=w2):
         h2, c2 = layers.lstm_step(cell, x, h, c)
         return ad.add(ws(h2, w1), ws(c2, w2))
@@ -154,13 +143,13 @@ def _op_checks():
         lstm_fn,
     )
     net = MlpParams.create(5, 4, 6, rng)
-    x, w = uni(5), pos(6)
+    x, w = uni(1, 5), pos(1, 6)
     check(
         "two-layer perceptron",
         [t for _, t in net.named_params("net")] + [x],
         lambda net=net, x=x, w=w: ws(layers.mlp(net, x), w),
     )
-    W, b, x, w = uni(3, 4), uni(3), uni(4), pos(3)
+    W, b, x, w = uni(3, 4), uni(3), uni(1, 4), pos(1, 3)
     check("affine map", [W, b, x], lambda W=W, b=b, x=x, w=w: ws(layers.linear(W, b, x), w))
     W, b, x, w = uni(3, 4), uni(3), uni(2, 4), pos(2, 3)
     check(
@@ -169,13 +158,13 @@ def _op_checks():
         lambda W=W, b=b, x=x, w=w: ws(layers.linear(W, b, x), w),
     )
 
-    mem, read_h = uni(4, 3), uni(3)
-    w1, w2 = pos(4), pos(3)
+    mem, read_h = uni(4, 3), uni(1, 3)
+    w1, w2 = pos(1, 4), pos(1, 3)
     def retrieve_fn(mem=mem, read_h=read_h, w1=w1, w2=w2):
         weights, summary = memory_retrieve(read_h, mem)
         return ad.add(ws(weights, w1), ws(summary, w2))
     check("memory read", [mem, read_h], retrieve_fn)
-    mem, wts, wr = uni(4, 3), pos(4), uni(3)
+    mem, wts, wr = uni(4, 3), pos(1, 4), uni(1, 3)
     w = pos(4, 3)
     check(
         "memory write",
@@ -246,7 +235,7 @@ class TestMemoryAlgebra:
             slots = int(rng.integers(2, 7))
             dim = int(rng.integers(2, 6))
             memory = Tensor(rng.normal(size=(slots, dim)))
-            read_h = Tensor(rng.normal(size=dim))
+            read_h = Tensor(rng.normal(size=(1, dim)))
             weights, summary = memory_retrieve(read_h, memory)
             w = weights.data
             assert abs(float(w.sum()) - 1.0) <= 1e-12
@@ -256,13 +245,13 @@ class TestMemoryAlgebra:
             low = memory.data.min(axis=0) - 1e-12
             high = memory.data.max(axis=0) + 1e-12
             assert np.all(summary.data >= low) and np.all(summary.data <= high)
-            written = Tensor(rng.normal(size=dim))
+            written = Tensor(rng.normal(size=(1, dim)))
             updated = memory_update(memory, weights, written).data
             # each new row sits on the segment between its old value and the
-            # written vector
+            # written row
             for i in range(slots):
-                seg_lo = np.minimum(memory.data[i], written.data) - 1e-12
-                seg_hi = np.maximum(memory.data[i], written.data) + 1e-12
+                seg_lo = np.minimum(memory.data[i], written.data[0]) - 1e-12
+                seg_hi = np.maximum(memory.data[i], written.data[0]) + 1e-12
                 assert np.all(updated[i] >= seg_lo) and np.all(updated[i] <= seg_hi)
 
     def test_one_hot_weights_replace_exactly_one_row(self):
@@ -271,12 +260,12 @@ class TestMemoryAlgebra:
             slots = int(rng.integers(2, 7))
             dim = int(rng.integers(2, 6))
             memory = Tensor(rng.normal(size=(slots, dim)))
-            written = Tensor(rng.normal(size=dim))
+            written = Tensor(rng.normal(size=(1, dim)))
             hot = int(rng.integers(0, slots))
-            one_hot = np.zeros(slots)
-            one_hot[hot] = 1.0
+            one_hot = np.zeros((1, slots))
+            one_hot[0, hot] = 1.0
             updated = memory_update(memory, Tensor(one_hot), written).data
-            assert np.allclose(updated[hot], written.data, atol=1e-12)
+            assert np.allclose(updated[hot], written.data[0], atol=1e-12)
             for i in range(slots):
                 if i != hot:
                     assert np.array_equal(updated[i], memory.data[i])
@@ -287,9 +276,9 @@ class TestMemoryAlgebra:
             slots = int(rng.integers(2, 7))
             dim = int(rng.integers(2, 6))
             memory = Tensor(rng.normal(size=(slots, dim)))
-            uniform = Tensor(np.full(slots, 1.0 / slots))
+            uniform = Tensor(np.full((1, slots), 1.0 / slots))
             summary = ad.matmul(uniform, memory).data
-            assert np.allclose(summary, memory.data.mean(axis=0), atol=1e-12)
+            assert np.allclose(summary[0], memory.data.mean(axis=0), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,22 @@ def test_simplify_bad_beam_exits_2(saved_models):
     assert main(["simplify", "--checkpoint", saved_models["lstm"], "--beam", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simplify", "--beam", "0"],
+        ["simplify", "--max-len", "0"],
+        ["evaluate", "--src", "t.src", "--refs", "t.ref", "--max-len", "0"],
+        ["inspect", "--sentence", "w00", "--max-len", "0"],
+    ],
+)
+def test_bad_decode_option_exits_2_before_reading_the_checkpoint(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no.ckpt")
+    assert main(argv[:1] + ["--checkpoint", missing] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.index(f"checkpoint={missing}") < err.index("error:")
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

@@ -46,9 +46,9 @@ class TestVocabulary:
     def test_encode_decode_round_trip(self):
         v = build_vocab([["the", "cat", "sat"]], cap=10)
         ids = v.encode(["the", "cat", "sat"])
-        assert v.decode(ids) == ["the", "cat", "sat"]
+        assert [v.token(i) for i in ids] == ["the", "cat", "sat"]
         assert v.encode(["unseen"]) == [UNK_ID]
-        assert v.decode([UNK_ID]) == ["<unk>"]
+        assert v.token(UNK_ID) == "<unk>"
 
     def test_reserved_surface_forms_not_duplicated(self):
         v = build_vocab([["<unk>", "a", "<s>"]], cap=10)

@@ -17,7 +17,7 @@ import pytest
 from nsesimp import autodiff as ad
 from nsesimp import decoder, encoders, layers
 from nsesimp.autodiff import Tensor
-from nsesimp.decoder import DecoderParams, attend, decoder_step, init_decoder
+from nsesimp.decoder import DecoderParams, DecoderState, attend, decoder_step, init_decoder
 from nsesimp.errors import DimensionError
 
 
@@ -29,51 +29,62 @@ def zero_all(params):
 def make_encoder_output(rng, T=3, H=4):
     states = Tensor(rng.normal(size=(T, H)))
     return encoders.EncoderOutput(
-        states=states, final_h=Tensor(rng.normal(size=H)), final_c=Tensor(rng.normal(size=H))
+        states=states,
+        final_h=Tensor(rng.normal(size=(1, H))),
+        final_c=Tensor(rng.normal(size=(1, H))),
     )
+
+
+def log_prob(logits, token):
+    """log softmax(logits)[token] of a one-row logit matrix, as a scalar."""
+    return ad.sum_all(ad.gather_rows(ad.log_softmax_rows(logits), [token]))
 
 
 class TestAttend:
     def test_single_row(self):
         rng = np.random.default_rng(0)
         states = Tensor(rng.normal(size=(1, 4)))
-        alpha, context = attend(Tensor(rng.normal(size=4)), states)
-        npt.assert_allclose(alpha.data, [1.0])
-        npt.assert_allclose(context.data, states.data[0], atol=1e-12)
+        alpha, context = attend(Tensor(rng.normal(size=(1, 4))), states)
+        npt.assert_allclose(alpha.data, [[1.0]])
+        npt.assert_allclose(context.data, states.data, atol=1e-12)
 
     def test_zero_query_uniform(self):
         rng = np.random.default_rng(1)
         states = Tensor(rng.normal(size=(5, 3)))
-        alpha, context = attend(Tensor(np.zeros(3)), states)
+        alpha, context = attend(Tensor(np.zeros((1, 3))), states)
         npt.assert_allclose(alpha.data, 0.2)
-        npt.assert_allclose(context.data, states.data.mean(axis=0), atol=1e-12)
+        npt.assert_allclose(context.data[0], states.data.mean(axis=0), atol=1e-12)
 
     def test_scaled_basis_sharp_attention(self):
         states = Tensor(np.eye(2) * 10.0)
-        alpha, context = attend(Tensor([1.0, 0.0]), states)
-        npt.assert_allclose(alpha.data, [1.0, 0.0], atol=1e-4)
-        npt.assert_allclose(context.data, [10.0, 0.0], atol=1e-3)
+        alpha, context = attend(Tensor([[1.0, 0.0]]), states)
+        npt.assert_allclose(alpha.data, [[1.0, 0.0]], atol=1e-4)
+        npt.assert_allclose(context.data, [[10.0, 0.0]], atol=1e-3)
 
     def test_permutation_covariance(self):
         rng = np.random.default_rng(2)
         states = rng.normal(size=(6, 4))
-        query = Tensor(rng.normal(size=4))
+        query = Tensor(rng.normal(size=(1, 4)))
         perm = rng.permutation(6)
         a1, c1 = attend(query, Tensor(states))
         a2, c2 = attend(query, Tensor(states[perm]))
-        npt.assert_allclose(a1.data[perm], a2.data, atol=1e-14)
+        npt.assert_allclose(a1.data[:, perm], a2.data, atol=1e-14)
         npt.assert_allclose(c1.data, c2.data, atol=1e-13)
 
     def test_positive_weights(self):
         rng = np.random.default_rng(3)
-        alpha, _ = attend(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(7, 4)) * 5))
+        alpha, _ = attend(Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(7, 4)) * 5))
         assert np.all(alpha.data > 0)
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
-            attend(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))))
+            attend(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))))
         with pytest.raises(DimensionError):
             attend(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
+    def test_vectors_are_rejected(self):
+        with pytest.raises(DimensionError):
+            attend(Tensor(np.zeros(4)), Tensor(np.zeros((2, 4))))
 
     def test_query_rows_attend_independently(self):
         rng = np.random.default_rng(12)
@@ -82,13 +93,9 @@ class TestAttend:
         alpha, context = attend(Tensor(queries), states)
         assert alpha.shape == (3, 5) and context.shape == (3, 4)
         for r in range(3):
-            a, c = attend(Tensor(queries[r]), states)
-            npt.assert_allclose(alpha.data[r], a.data, rtol=1e-12, atol=1e-15)
-            npt.assert_allclose(context.data[r], c.data, rtol=1e-12, atol=1e-15)
-        one_alpha, one_context = attend(Tensor(queries[:1]), states)
-        a, c = attend(Tensor(queries[0]), states)
-        npt.assert_array_equal(one_alpha.data[0], a.data)
-        npt.assert_array_equal(one_context.data[0], c.data)
+            a, c = attend(Tensor(queries[r : r + 1]), states)
+            npt.assert_allclose(alpha.data[r : r + 1], a.data, rtol=1e-12, atol=1e-15)
+            npt.assert_allclose(context.data[r : r + 1], c.data, rtol=1e-12, atol=1e-15)
 
 
 class TestInitDecoder:
@@ -96,9 +103,9 @@ class TestInitDecoder:
         rng = np.random.default_rng(4)
         p = DecoderParams.create(3, 4, 5, rng)
         state = init_decoder(p, make_encoder_output(rng, H=4))
-        assert state.h1.shape == (4,)
-        assert state.c2.shape == (4,)
-        assert state.prev_token == decoder.BOS_ID
+        assert state.h1.shape == (1, 4)
+        assert state.c2.shape == (1, 4)
+        assert state.prev_token.tolist() == [decoder.BOS_ID]
 
     def test_zero_map_zero_state(self):
         rng = np.random.default_rng(5)
@@ -113,12 +120,12 @@ class TestInitDecoder:
         rng = np.random.default_rng(6)
         p = DecoderParams.create(3, 4, 5, rng)
         enc = make_encoder_output(rng, T=3, H=4)
-        emb = Tensor(rng.normal(size=3))
+        emb = Tensor(rng.normal(size=(1, 3)))
 
         def f():
             state = init_decoder(p, enc)
             _, _, logits = decoder_step(p, state, emb, enc.states)
-            return ad.pick(ad.log_softmax_rows(logits), 1)
+            return log_prob(logits, 1)
 
         report = ad.grad_check(f, [p.init_h, p.init_c], names=["init_h", "init_c"])
         assert report.ok, report.failures
@@ -131,8 +138,8 @@ class TestDecoderStep:
         p = DecoderParams.create(3, 4, 6, rng)
         enc = make_encoder_output(rng, H=4)
         state = init_decoder(p, enc)
-        _, alpha, logits = decoder_step(p, state, Tensor(rng.normal(size=3)), enc.states)
-        assert logits.shape == (6,)
+        _, alpha, logits = decoder_step(p, state, Tensor(rng.normal(size=(1, 3))), enc.states)
+        assert logits.shape == (1, 6)
         assert abs(ad.softmax_rows(logits).data.sum() - 1.0) < 1e-12
         assert abs(alpha.data.sum() - 1.0) < 1e-12
 
@@ -147,10 +154,10 @@ class TestDecoderStep:
         total = 0.0
         state = init_decoder(p, enc)
         for target in (2, 3):
-            y = layers.embed(emb_table, [state.prev_token])
-            state, _, logits = decoder_step(p, state, ad.row(y, 0), enc.states)
-            total += ad.pick(ad.log_softmax_rows(logits), target).item()
-            state = replace(state, prev_token=target)
+            y = layers.embed(emb_table, state.prev_token)
+            state, _, logits = decoder_step(p, state, y, enc.states)
+            total += log_prob(logits, target).item()
+            state = replace(state, prev_token=np.array([target]))
         expected = math.log(0.5) + math.log(1.0 / 6.0)
         assert abs(total - expected) < 1e-10
 
@@ -165,11 +172,11 @@ class TestDecoderStep:
         prob_total = 1.0
         state = init_decoder(p, enc)
         for target in targets:
-            y = layers.embed(emb_table, [state.prev_token])
-            state, _, logits = decoder_step(p, state, ad.row(y, 0), enc.states)
-            log_total += ad.pick(ad.log_softmax_rows(logits), target).item()
-            prob_total *= ad.softmax_rows(logits).data[target]
-            state = replace(state, prev_token=target)
+            y = layers.embed(emb_table, state.prev_token)
+            state, _, logits = decoder_step(p, state, y, enc.states)
+            log_total += log_prob(logits, target).item()
+            prob_total *= ad.softmax_rows(logits).data[0, target]
+            state = replace(state, prev_token=np.array([target]))
         assert abs(log_total - math.log(prob_total)) < 1e-10
 
     def test_dropout_only_in_training(self):
@@ -177,7 +184,7 @@ class TestDecoderStep:
         p = DecoderParams.create(3, 4, 5, rng)
         enc = make_encoder_output(rng, H=4)
         state = init_decoder(p, enc)
-        y = Tensor(rng.normal(size=3))
+        y = Tensor(rng.normal(size=(1, 3)))
         _, _, a = decoder_step(p, state, y, enc.states, dropout_rate=0.5, training=False)
         _, _, b = decoder_step(p, state, y, enc.states)
         npt.assert_array_equal(a.data, b.data)
@@ -191,17 +198,29 @@ class TestDecoderStep:
         rng = np.random.default_rng(11)
         p = DecoderParams.create(3, 3, 4, rng)
         enc = make_encoder_output(rng, T=2, H=3)
-        emb = Tensor(rng.normal(size=3), requires_grad=True)
+        emb = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
 
         def f():
             state = init_decoder(p, enc)
             state, _, logits = decoder_step(p, state, emb, enc.states)
-            first = ad.pick(ad.log_softmax_rows(logits), 2)
-            state = replace(state, prev_token=2)
+            first = log_prob(logits, 2)
+            state = replace(state, prev_token=np.array([2]))
             _, _, logits2 = decoder_step(p, state, emb, enc.states)
-            return ad.add(first, ad.pick(ad.log_softmax_rows(logits2), 0))
+            return ad.add(first, log_prob(logits2, 0))
 
         params = [t for _, t in p.named_params()] + [emb]
         names = [n for n, _ in p.named_params()] + ["emb"]
         report = ad.grad_check(f, params, tol=1e-4, names=names)
         assert report.ok, report.failures
+
+    def test_vectors_are_rejected(self):
+        rng = np.random.default_rng(12)
+        p = DecoderParams.create(3, 4, 5, rng)
+        enc = make_encoder_output(rng, H=4)
+        rows = init_decoder(p, enc)
+        vectors = DecoderState(
+            *(Tensor(t.data[0]) for t in (rows.h1, rows.c1, rows.h2, rows.c2)), rows.prev_token
+        )
+        for state, y in ((vectors, np.zeros(3)), (rows, np.zeros(3)), (vectors, np.zeros((1, 3)))):
+            with pytest.raises(DimensionError):
+                decoder_step(p, state, Tensor(y), enc.states)

@@ -26,8 +26,8 @@ class TestLstmEncoder:
         p = encoders.LstmEncoderParams.create(3, rng)
         out = encoders.lstm_encode(p, make_embeddings(rng, T=1))
         assert out.states.shape == (1, 3)
-        assert out.final_h.shape == (3,)
-        assert out.final_c.shape == (3,)
+        assert out.final_h.shape == (1, 3)
+        assert out.final_c.shape == (1, 3)
 
     def test_zero_params_zero_states(self):
         rng = np.random.default_rng(1)
@@ -56,7 +56,7 @@ class TestLstmEncoder:
         rng = np.random.default_rng(3)
         p = encoders.LstmEncoderParams.create(3, rng)
         out = encoders.lstm_encode(p, make_embeddings(rng))
-        npt.assert_array_equal(out.states.data[-1], out.final_h.data)
+        npt.assert_array_equal(out.states.data[-1:], out.final_h.data)
 
     def test_dropout_only_in_training(self):
         rng = np.random.default_rng(4)
@@ -75,7 +75,7 @@ class TestMemoryAlgebra:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(5)
         memory = Tensor(rng.normal(size=(6, 4)))
-        read_h = Tensor(rng.normal(size=4))
+        read_h = Tensor(rng.normal(size=(1, 4)))
         weights, _ = encoders.memory_retrieve(read_h, memory)
         assert abs(weights.data.sum() - 1.0) <= 1e-12
         assert np.all(weights.data > 0)
@@ -83,34 +83,34 @@ class TestMemoryAlgebra:
     def test_zero_read_state_gives_column_mean(self):
         rng = np.random.default_rng(6)
         memory = Tensor(rng.normal(size=(5, 3)))
-        weights, summary = encoders.memory_retrieve(Tensor(np.zeros(3)), memory)
+        weights, summary = encoders.memory_retrieve(Tensor(np.zeros((1, 3))), memory)
         npt.assert_allclose(weights.data, 0.2)
-        npt.assert_allclose(summary.data, memory.data.mean(axis=0), atol=1e-12)
+        npt.assert_allclose(summary.data[0], memory.data.mean(axis=0), atol=1e-12)
 
     def test_single_slot_retrieves_itself(self):
         rng = np.random.default_rng(7)
         memory = Tensor(rng.normal(size=(1, 4)))
-        read_h = Tensor(rng.normal(size=4))
+        read_h = Tensor(rng.normal(size=(1, 4)))
         weights, summary = encoders.memory_retrieve(read_h, memory)
-        npt.assert_allclose(weights.data, [1.0])
-        npt.assert_allclose(summary.data, memory.data[0], atol=1e-12)
+        npt.assert_allclose(weights.data, [[1.0]])
+        npt.assert_allclose(summary.data, memory.data, atol=1e-12)
 
     def test_one_hot_update_replaces_single_row(self):
         rng = np.random.default_rng(8)
         memory = Tensor(rng.normal(size=(4, 3)))
-        written = Tensor(rng.normal(size=3))
-        onehot = np.zeros(4)
-        onehot[2] = 1.0
+        written = Tensor(rng.normal(size=(1, 3)))
+        onehot = np.zeros((1, 4))
+        onehot[0, 2] = 1.0
         updated = encoders.memory_update(memory, Tensor(onehot), written).data
-        npt.assert_allclose(updated[2], written.data, atol=1e-15)
+        npt.assert_allclose(updated[2], written.data[0], atol=1e-15)
         for i in (0, 1, 3):
             npt.assert_array_equal(updated[i], memory.data[i])
 
     def test_update_is_convex_per_coordinate(self):
         rng = np.random.default_rng(9)
         memory = Tensor(rng.normal(size=(5, 4)))
-        written = Tensor(rng.normal(size=4))
-        w = rng.random(5)
+        written = Tensor(rng.normal(size=(1, 4)))
+        w = rng.random((1, 5))
         updated = encoders.memory_update(memory, Tensor(w), written).data
         lo = np.minimum(memory.data, written.data)
         hi = np.maximum(memory.data, written.data)
@@ -120,11 +120,18 @@ class TestMemoryAlgebra:
     def test_dimension_errors(self):
         memory = Tensor(np.zeros((4, 3)))
         with pytest.raises(DimensionError):
-            encoders.memory_retrieve(Tensor(np.zeros(4)), memory)
+            encoders.memory_retrieve(Tensor(np.zeros((1, 4))), memory)
         with pytest.raises(DimensionError):
-            encoders.memory_update(memory, Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+            encoders.memory_update(memory, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
         with pytest.raises(DimensionError):
-            encoders.memory_update(memory, Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+            encoders.memory_update(memory, Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
+
+    def test_vectors_are_rejected(self):
+        memory = Tensor(np.zeros((4, 3)))
+        with pytest.raises(DimensionError):
+            encoders.memory_retrieve(Tensor(np.zeros(3)), memory)
+        with pytest.raises(DimensionError):
+            encoders.memory_update(memory, Tensor(np.zeros(4)), Tensor(np.zeros(3)))
 
 
 class TestNseEncoder:
@@ -139,7 +146,7 @@ class TestNseEncoder:
         p = encoders.NseEncoderParams.create(3, rng)
         out = encoders.nse_encode(p, make_embeddings(rng, T=5, D=3))
         assert out.states.shape == (5, 3)
-        assert out.final_h.shape == (3,)
+        assert out.final_h.shape == (1, 3)
 
     def test_trace_collection(self):
         rng = np.random.default_rng(12)

@@ -63,7 +63,9 @@ class TestLstmCell:
         p = layers.LstmCellParams.create(3, 2, np.random.default_rng(0), forget_bias=0.0)
         for t in (p.W_x, p.W_h, p.b):
             t.data[:] = 0.0
-        h, c = layers.lstm_step(p, Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+        h, c = layers.lstm_step(
+            p, Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
+        )
         npt.assert_allclose(h.data, 0.0, atol=1e-15)
         npt.assert_allclose(c.data, 0.0, atol=1e-15)
 
@@ -74,8 +76,8 @@ class TestLstmCell:
             t.data[:] = 0.0
         p.b.data[:] = -10.0
         p.b.data[H : 2 * H] = 10.0
-        c_prev = Tensor([0.5, -0.7, 0.2])
-        h, c = layers.lstm_step(p, Tensor(np.zeros(2)), Tensor(np.zeros(H)), c_prev)
+        c_prev = Tensor([[0.5, -0.7, 0.2]])
+        h, c = layers.lstm_step(p, Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, H))), c_prev)
         npt.assert_allclose(c.data, c_prev.data, atol=1e-3)
 
     def test_forget_bias_default(self):
@@ -89,22 +91,29 @@ class TestLstmCell:
         rng = np.random.default_rng(8)
         p = layers.LstmCellParams.create(4, 4, rng)
         h, c = layers.lstm_step(
-            p, Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+            p, *(Tensor(rng.normal(size=(1, 4))) for _ in range(3))
         )
         assert np.all(np.abs(h.data) < 1.0)
 
     def test_dimension_mismatch(self):
         p = layers.LstmCellParams.create(3, 2, np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            layers.lstm_step(p, Tensor(np.zeros(2)), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+            layers.lstm_step(
+                p, Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
+            )
+
+    def test_vectors_are_rejected(self):
+        p = layers.LstmCellParams.create(3, 2, np.random.default_rng(0))
+        with pytest.raises(DimensionError):
+            layers.lstm_step(p, Tensor(np.zeros(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
 
     def test_gradient_check(self):
         rng = np.random.default_rng(21)
         p = layers.LstmCellParams.create(4, 4, rng)
-        x = Tensor(rng.normal(size=4))
-        h0 = Tensor(rng.normal(size=4) * 0.5)
-        c0 = Tensor(rng.normal(size=4) * 0.5)
-        weight = Tensor(rng.normal(size=4))
+        x = Tensor(rng.normal(size=(1, 4)))
+        h0 = Tensor(rng.normal(size=(1, 4)) * 0.5)
+        c0 = Tensor(rng.normal(size=(1, 4)) * 0.5)
+        weight = Tensor(rng.normal(size=(1, 4)))
 
         def f():
             h, c = layers.lstm_step(p, x, h0, c0)
@@ -114,21 +123,19 @@ class TestLstmCell:
         assert report.ok, report.failures
 
     def test_rows_step_each_sequence(self):
-        # one row is bitwise the vector step; several rows share one matrix
-        # product per weight, whose summation order may differ in the last bit
+        # k rows share one matrix product per weight, whose summation order
+        # may differ in the last bit from stepping each row alone
         rng = np.random.default_rng(22)
         p = layers.LstmCellParams.create(37, 29, rng)
-        for k in (1, 3):
-            x, h0, c0 = (rng.normal(size=(k, n)) for n in (37, 29, 29))
-            h, c = layers.lstm_step(p, Tensor(x), Tensor(h0), Tensor(c0))
-            assert h.shape == c.shape == (k, 29)
-            for r in range(k):
-                hv, cv = layers.lstm_step(p, Tensor(x[r]), Tensor(h0[r]), Tensor(c0[r]))
-                if k == 1:
-                    npt.assert_array_equal(h.data[r], hv.data)
-                    npt.assert_array_equal(c.data[r], cv.data)
-                npt.assert_allclose(h.data[r], hv.data, rtol=1e-12, atol=1e-15)
-                npt.assert_allclose(c.data[r], cv.data, rtol=1e-12, atol=1e-15)
+        k = 3
+        x, h0, c0 = (rng.normal(size=(k, n)) for n in (37, 29, 29))
+        h, c = layers.lstm_step(p, Tensor(x), Tensor(h0), Tensor(c0))
+        assert h.shape == c.shape == (k, 29)
+        for r in range(k):
+            one = slice(r, r + 1)
+            hr, cr = layers.lstm_step(p, Tensor(x[one]), Tensor(h0[one]), Tensor(c0[one]))
+            npt.assert_allclose(h.data[one], hr.data, rtol=1e-12, atol=1e-15)
+            npt.assert_allclose(c.data[one], cr.data, rtol=1e-12, atol=1e-15)
 
     def test_rows_gradient_check(self):
         rng = np.random.default_rng(23)
@@ -152,7 +159,9 @@ class TestLstmCell:
                 p, Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2)))
             )
         with pytest.raises(DimensionError):  # a vector input with row states
-            layers.lstm_step(p, Tensor(np.zeros(3)), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
+            layers.lstm_step(
+                p, Tensor(np.zeros(3)), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
+            )
 
 
 class TestMlp:
@@ -160,8 +169,8 @@ class TestMlp:
         p = layers.MlpParams.create(3, 2, 4, np.random.default_rng(0))
         p.W1.data[:] = 0.0
         p.W2.data[:] = 0.0
-        out = layers.mlp(p, Tensor(np.ones(3)))
-        npt.assert_array_equal(out.data, p.b2.data)
+        out = layers.mlp(p, Tensor(np.ones((1, 3))))
+        npt.assert_array_equal(out.data[0], p.b2.data)
 
     def test_identity_path(self):
         p = layers.MlpParams.create(2, 2, 2, np.random.default_rng(0))
@@ -169,14 +178,14 @@ class TestMlp:
         p.W2.data = np.eye(2)
         p.b1.data[:] = 0.0
         p.b2.data[:] = 0.0
-        out = layers.mlp(p, Tensor(np.zeros(2)))
+        out = layers.mlp(p, Tensor(np.zeros((1, 2))))
         npt.assert_allclose(out.data, 0.0, atol=1e-15)
 
     def test_gradient_check(self):
         rng = np.random.default_rng(33)
         p = layers.MlpParams.create(4, 4, 4, rng)
-        x = Tensor(rng.normal(size=4))
-        w = Tensor(rng.normal(size=4))
+        x = Tensor(rng.normal(size=(2, 4)))
+        w = Tensor(rng.normal(size=(2, 4)))
 
         def f():
             return ad.sum_all(ad.mul(layers.mlp(p, x), w))
@@ -187,21 +196,21 @@ class TestMlp:
 
 class TestLinear:
     def test_identity(self):
-        x = Tensor([1.0, -2.0])
+        x = Tensor([[1.0, -2.0]])
         out = layers.linear(Tensor(np.eye(2)), Tensor(np.zeros(2)), x)
         npt.assert_array_equal(out.data, x.data)
 
     def test_zero_weight_gives_bias(self):
         b = Tensor([3.0, 4.0])
-        out = layers.linear(Tensor(np.zeros((2, 3))), b, Tensor(np.ones(3)))
-        npt.assert_array_equal(out.data, b.data)
+        out = layers.linear(Tensor(np.zeros((2, 3))), b, Tensor(np.ones((1, 3))))
+        npt.assert_array_equal(out.data[0], b.data)
 
     def test_gradient_check(self):
         rng = np.random.default_rng(44)
         W = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
-        x = Tensor(rng.normal(size=4))
-        c = Tensor(rng.normal(size=3))
+        x = Tensor(rng.normal(size=(1, 4)))
+        c = Tensor(rng.normal(size=(1, 3)))
 
         def f():
             return ad.sum_all(ad.mul(layers.linear(W, b, x), c))
@@ -214,7 +223,7 @@ class TestPurity:
     def test_lstm_step_bit_identical(self):
         rng = np.random.default_rng(55)
         p = layers.LstmCellParams.create(3, 3, rng)
-        args = (Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)))
+        args = tuple(Tensor(rng.normal(size=(1, 3))) for _ in range(3))
         h1, c1 = layers.lstm_step(p, *args)
         h2, c2 = layers.lstm_step(p, *args)
         npt.assert_array_equal(h1.data, h2.data)

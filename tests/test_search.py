@@ -263,21 +263,21 @@ class TestBeamSearch:
         assert norm is fin_b
 
 
-def vector_greedy(model, src, max_len):
-    """Greedy decoding through the one-sequence [H] vector decoder step."""
+def one_row_greedy(model, src, max_len):
+    """Greedy decoding as a plain loop over the one-row decoder step."""
     enc = encode(model, src)
     state = init_decoder(model.decoder, enc)
     token, tokens, alphas, score = BOS_ID, [], [], 0.0
     for _ in range(max_len):
-        y = ad.row(model.tgt_embed.E, token)
+        y = ad.take_rows(model.tgt_embed.E, [token])
         state, alpha, logits = decoder_step(model.decoder, state, y, enc.states)
-        log_probs = ad.log_softmax_rows(logits).data
+        log_probs = ad.log_softmax_rows(logits).data[0]
         token = int(np.argmax(log_probs))
         score = score + float(log_probs[token])
         if token == EOS_ID:
             return tuple(tokens), score, alphas, True
         tokens.append(token)
-        alphas.append(alpha.data)
+        alphas.append(alpha.data[0])
     return tuple(tokens), score, alphas, False
 
 
@@ -295,11 +295,11 @@ def random_session(seed, eos_shift=0.0):
 class TestBatchedSearch:
     """The batched search against one-hypothesis-at-a-time references."""
 
-    def test_greedy_is_bitwise_the_vector_decoder(self):
+    def test_greedy_is_bitwise_a_one_row_decoder_loop(self):
         for seed in range(12):
             model, src = random_session(700 + seed)
             hyp = greedy_decode(DecodeSession(model, src), max_len=9)
-            tokens, score, alphas, finished = vector_greedy(model, src, 9)
+            tokens, score, alphas, finished = one_row_greedy(model, src, 9)
             assert hyp.tokens == tokens
             assert hyp.score == score
             assert hyp.finished == finished
