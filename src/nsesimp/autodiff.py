@@ -95,11 +95,7 @@ _ACTIVE: Tape | None = None
 
 
 def _emit(data: Array, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    with np.errstate(over="ignore"):
-        total = data.sum()
-    # the fast-path sum can overflow for huge finite values; re-check
-    # element-wise before deciding
-    if not np.isfinite(total) and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         raise NumericError("operation produced NaN or Inf")
     out = Tensor(data)
     if _ACTIVE is not None:
@@ -347,10 +343,21 @@ def _check_matrix(op: str, xd: Array) -> None:
         raise DimensionError(f"{op} expects a matrix, got shape {xd.shape}")
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a matrix, with max-subtraction."""
+def softmax_rows(x: Tensor, mask: Array | None = None) -> Tensor:
+    """Row-wise softmax of a matrix, with max-subtraction.
+
+    With a boolean ``mask`` of x's shape, the entries where it is False get
+    weight exactly 0.0 and no gradient; the others share each row's mass.
+    A row with every entry masked has no softmax and raises.
+    """
     m = x.data
     _check_matrix("softmax_rows", m)
+    if mask is not None:
+        if mask.shape != m.shape:
+            raise DimensionError(f"softmax_rows mask {mask.shape} for input {m.shape}")
+        if not mask.any(axis=1).all():
+            raise UsageError("softmax_rows mask leaves a row with no entry")
+        m = np.where(mask, m, -np.inf)
     z = m - m.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
@@ -420,15 +427,16 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-width [1, n] rows into an [m, n] matrix, in order."""
+    """Stack m equal-shape [k, n] blocks into an [m·k, n] matrix, in order."""
     if not rows:
         raise UsageError("stack_rows of nothing")
     shape = rows[0].shape
-    if len(shape) != 2 or shape[0] != 1 or any(r.shape != shape for r in rows):
-        raise DimensionError("stack_rows expects equal-width [1, n] rows")
+    if len(shape) != 2 or any(r.shape != shape for r in rows):
+        raise DimensionError("stack_rows expects equal-shape [k, n] blocks")
+    k = shape[0]
 
     def bw(g):
-        return tuple(g[i : i + 1] for i in range(len(rows)))
+        return tuple(g[i * k : (i + 1) * k] for i in range(len(rows)))
 
     return _emit(np.concatenate([r.data for r in rows]), tuple(rows), bw)
 
@@ -488,6 +496,118 @@ def scale(x: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return _emit(x.data * c, (x,), bw)
+
+
+# ---------------------------------------------------------------------------
+# time-major sequences
+#
+# An [S·B, D] matrix holds B sequences of S steps, time-major: row t·B + b is
+# step t of sequence b.  A [k, ·] matrix of queries, k a multiple of B, gives
+# its row j to sequence j mod B: one row per sequence for a batch, or k rows
+# that all belong to the single sequence when B = 1.  Each row meets only its
+# own sequence's S steps, so the work grows linearly in B.  With B = 1 each
+# product is the plain 2-D one (q mᵀ, a m), bit for bit.
+
+
+def _by_sequence(xd: Array, batch: int) -> Array:
+    """View [r·B, n] rows as [B, r, n], row j at (j mod B, j div B)."""
+    return xd.reshape(-1, batch, xd.shape[1]).transpose(1, 0, 2)
+
+
+def _rows(x3: Array) -> Array:
+    """Inverse of :func:`_by_sequence`: [B, r, n] back to [r·B, n] rows."""
+    return x3.transpose(1, 0, 2).reshape(-1, x3.shape[2])
+
+
+def _step_outer(w: Array, x: Array, batch: int) -> Array:
+    """Σ_j w[j, t] x[j] over the rows j of sequence b, at time-major row t·B + b."""
+    if w.shape[0] != batch:
+        wv, xv = _by_sequence(w, batch), _by_sequence(x, batch)
+        return _rows(wv.transpose(0, 2, 1) @ xv)
+    # one row per sequence: a plain broadcast product, written time-major
+    # in place (a stack of rank-1 matmuls is several times slower)
+    S, D = w.shape[1], x.shape[1]
+    out = np.empty((S * batch, D))
+    np.multiply(w.T[:, :, None], x, out=out.reshape(S, batch, D))
+    return out
+
+
+def _check_sequences(op: str, xd: Array, md: Array, batch: int, mix: bool) -> None:
+    # x holds [k, D] queries, or for a mix [k, S] weights, for an [S·B, D] m
+    if (
+        xd.ndim == 2
+        and md.ndim == 2
+        and batch >= 1
+        and not (xd.shape[0] % batch or md.shape[0] % batch)
+        and xd.shape[1] == (md.shape[0] // batch if mix else md.shape[1])
+    ):
+        return
+    raise DimensionError(f"{op} got {xd.shape} against {md.shape} for {batch} sequences")
+
+
+def seq_scores(q: Tensor, m: Tensor, batch: int) -> Tensor:
+    """out[j, t] = q[j] · m[t·B + j mod B]: each row's scores over its sequence.
+
+    ``q`` is [k, D] and ``m`` the [S·B, D] time-major matrix of B sequences;
+    the result is [k, S].
+    """
+    qd, md = q.data, m.data
+    _check_sequences("seq_scores", qd, md, batch, mix=False)
+    qv, mv = _by_sequence(qd, batch), _by_sequence(md, batch)
+
+    def bw(g):
+        gv = _by_sequence(g, batch)
+        return _rows(gv @ mv), _step_outer(g, qd, batch)
+
+    return _emit(_rows(qv @ mv.transpose(0, 2, 1)), (q, m), bw)
+
+
+def seq_mix(a: Tensor, m: Tensor, batch: int) -> Tensor:
+    """out[j] = Σ_t a[j, t] m[t·B + j mod B]: each row's mix of its sequence.
+
+    ``a`` is [k, S] and ``m`` the [S·B, D] time-major matrix of B sequences;
+    the result is [k, D].
+    """
+    ad, md = a.data, m.data
+    _check_sequences("seq_mix", ad, md, batch, mix=True)
+    av, mv = _by_sequence(ad, batch), _by_sequence(md, batch)
+
+    def bw(g):
+        gv = _by_sequence(g, batch)
+        return _rows(gv @ mv.transpose(0, 2, 1)), _step_outer(ad, g, batch)
+
+    return _emit(_rows(av @ mv), (a, m), bw)
+
+
+def blend_rows(m: Tensor, s: Tensor, w: Tensor) -> Tensor:
+    """Move every step of each time-major sequence toward its row of ``w``.
+
+    ``m`` is [S·B, D], ``s`` is [B, S] and ``w`` is [B, D].  Row t·B + b of
+    the result is m[t·B + b] + s[b, t] (w[b] - m[t·B + b]).  As one op it
+    keeps a single [S·B, D] array on the tape, where sub, mul and add would
+    keep three.
+    """
+    md, sd, wd = m.data, s.data, w.data
+    if (
+        md.ndim != 2
+        or wd.ndim != 2
+        or sd.ndim != 2
+        or md.shape[1] != wd.shape[1]
+        or sd.shape[0] != wd.shape[0]
+        or md.shape[0] != sd.size
+    ):
+        raise DimensionError(f"blend_rows m{md.shape}, s{sd.shape}, w{wd.shape}")
+    N, D = md.shape
+    B = wd.shape[0]
+    col = sd.T.reshape(-1, B, 1)
+    mv = md.reshape(-1, B, D)
+
+    def bw(g):
+        gv = g.reshape(-1, B, D)
+        g_col = gv * col
+        return (g - g_col.reshape(N, D), (gv * (wd - mv)).sum(axis=2).T, g_col.sum(axis=0))
+
+    return _emit((mv + col * (wd - mv)).reshape(N, D), (m, s, w), bw)
 
 
 # ---------------------------------------------------------------------------

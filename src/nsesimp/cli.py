@@ -393,7 +393,7 @@ def cmd_inspect(ns) -> int:
         slot_width = max(width, 7)
         print(" " * label_width + "".join(f"{t:>{slot_width}}" for t in tokens))
         for step_tok, sigma in zip(tokens, session.encoder_output.slot_weights):
-            cells = "".join(f"{s:>{slot_width}.3f}" for s in sigma)
+            cells = "".join(f"{s:>{slot_width}.3f}" for s in sigma[0])
             print(f"{step_tok:>{label_width}}{cells}")
     else:
         print()

@@ -211,13 +211,12 @@ class Batch:
     def size(self) -> int:
         return self.src.shape[0]
 
-    def src_ids(self, i: int) -> list[int]:
-        n = int(self.src_mask[i].sum())
-        return [int(x) for x in self.src[i, :n]]
-
-    def tgt_out_ids(self, i: int) -> list[int]:
-        n = int(self.tgt_mask[i].sum())
-        return [int(x) for x in self.tgt_out[i, :n]]
+    @staticmethod
+    def from_ids(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> "Batch":
+        """Pad (source ids, bare target ids) pairs; targets gain the end marker."""
+        src, src_mask = _pad([list(s) for s, _ in pairs])
+        tgt_out, tgt_mask = _pad([list(t) + [EOS_ID] for _, t in pairs])
+        return Batch(src=src, src_mask=src_mask, tgt_out=tgt_out, tgt_mask=tgt_mask)
 
 
 def _pad(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -256,16 +255,9 @@ def batches(
     else:
         order = rng.permutation(n)
         groups = [order[i : i + batch_size] for i in range(0, n, batch_size)]
-    out = []
-    for group in groups:
-        srcs, tgt_outs = [], []
-        for i in group:
-            src, tgt = corpus.pairs[i]
-            s = src_vocab.encode(src)
-            t = tgt_vocab.encode(tgt)
-            srcs.append(s)
-            tgt_outs.append(t + [EOS_ID])
-        src_arr, src_mask = _pad(srcs)
-        out_arr, out_mask = _pad(tgt_outs)
-        out.append(Batch(src=src_arr, src_mask=src_mask, tgt_out=out_arr, tgt_mask=out_mask))
-    return out
+
+    def encoded(i):
+        src, tgt = corpus.pairs[i]
+        return src_vocab.encode(src), tgt_vocab.encode(tgt)
+
+    return [Batch.from_ids([encoded(i) for i in group]) for group in groups]

@@ -7,9 +7,10 @@ context] into layer 1, layer 1's output into layer 2, and projects
 learned tanh-linear map of the encoder's final (h, c), shared by both
 layers; generation starts from the sentence-begin token.
 
-A state holds k sequences as [k, H] rows: one for teacher forcing, one
-per hypothesis for decoding.  A step advances every row with one matrix
-product per weight.
+A state holds k sequences as [k, H] rows: one per sentence of a batch for
+teacher forcing, one per hypothesis for decoding.  A step advances every
+row with one matrix product per weight.  The rows of a batch attend over
+one time-major [S·B, H] state matrix, each over its own sentence's steps.
 """
 
 from __future__ import annotations
@@ -97,10 +98,14 @@ class DecoderState:
         return DecoderState(h1, c1, h2, c2, np.asarray(tokens, dtype=np.intp))
 
 
-def attend(s_prev: Tensor, states: Tensor):
-    """Dot-product attention; returns (alpha over source rows, context).
+def attend(s_prev: Tensor, states: Tensor, batch: int = 1, mask: np.ndarray | None = None):
+    """Dot-product attention; returns (alpha over source steps, context).
 
-    A [k, H] query gives [k, S] weights and [k, H] contexts, one per row.
+    ``states`` is the time-major [S·B, H] matrix of ``batch`` sentences and
+    row j of the [k, H] query attends over sentence j mod B, giving [k, S]
+    weights and [k, H] contexts: one row per sentence of a batch, or k
+    hypotheses over one sentence.  With a [k, S] boolean ``mask`` each row
+    attends only where it is True; the other weights are exactly 0.0.
     """
     if (
         states.data.ndim != 2
@@ -110,19 +115,20 @@ def attend(s_prev: Tensor, states: Tensor):
         raise DimensionError(
             f"attend got query {s_prev.shape} against states {states.shape}"
         )
-    alpha = ad.softmax_rows(ad.affine_rows(s_prev, states))
-    context = ad.matmul(alpha, states)
+    alpha = ad.softmax_rows(ad.seq_scores(s_prev, states, batch), mask)
+    context = ad.seq_mix(alpha, states, batch)
     return alpha, context
 
 
 def init_decoder(p: DecoderParams, enc: EncoderOutput) -> DecoderState:
     """Start state: tanh(map(final encoder h/c)), shared across both layers.
 
-    One [1, H] row, a single hypothesis whose previous token is sentence-begin.
+    One row per encoded sentence, each with sentence-begin as its previous
+    token; a single source sentence gives a single hypothesis.
     """
     h0 = ad.tanh(ad.affine_rows(enc.final_h, p.init_h))
     c0 = ad.tanh(ad.affine_rows(enc.final_c, p.init_c))
-    return DecoderState(h0, c0, h0, c0, np.array([BOS_ID], dtype=np.intp))
+    return DecoderState(h0, c0, h0, c0, np.full(h0.shape[0], BOS_ID, dtype=np.intp))
 
 
 def decoder_recurrence(
@@ -133,16 +139,18 @@ def decoder_recurrence(
     dropout_rate: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    batch: int = 1,
+    mask: np.ndarray | None = None,
 ):
     """Attention and both LSTM layers; returns (new_state, alpha, feature).
 
     ``feature`` is [top state; context], the input of the output layer; the
     step takes one embedding row per state row and gives one feature row
-    each.
+    each.  ``batch`` and ``mask`` are those of :func:`attend`.
     Dropout (training only) applies to the token embedding and between the
     two layers, drawing from ``rng`` in that order.
     """
-    alpha, context = attend(state.h2, states)
+    alpha, context = attend(state.h2, states, batch, mask)
     y = y_prev_embedding
     if training and dropout_rate > 0.0:
         y = ad.dropout(y, dropout_rate, training, rng)

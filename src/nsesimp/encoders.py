@@ -1,15 +1,23 @@
 """Source-sentence encoders: a 2-layer LSTM and a memory-augmented variant.
 
-Both consume a [T, D] matrix of token embeddings and produce an
-:class:`EncoderOutput` whose ``states`` matrix ([T, D] here, since hidden
-width equals embedding width) is what the decoder attends over.  The
-recurrence steps one [1, D] row per token.
+Both consume the token embeddings of B sentences as one time-major [S·B, D]
+matrix, where row t·B + b is step t of sentence b and S is the longest
+length, and produce an :class:`EncoderOutput` whose ``states`` matrix, in
+the same layout, is what the decoder attends over.  Every recurrence steps
+the B sentences together as [B, ·] rows.  A sentence shorter than S keeps
+stepping past its end and nothing reads those states: each attention or
+memory read scores one sentence's own S slots only, masked to its real
+steps, and each final state is taken at the sentence's own last step.  One
+sentence is B = 1, with no mask.
+An input projection whose inputs are all known before its recurrence starts
+is applied to all S·B rows with one product, so each step makes only its
+recurrent product.
 
 The memory-augmented encoder keeps one memory row per source token,
 initialized with the raw embeddings.  Each step a read LSTM summarizes the
-next token, soft-attends over the memory, fuses the two through a small
-MLP, projects back with a write LSTM, and blends the written row into
-the memory rows in proportion to the attention weights.
+next token, soft-attends over its sentence's memory rows, fuses the two
+through a small MLP, projects back with a write LSTM, and blends the
+written row into those memory rows in proportion to the attention weights.
 """
 
 from __future__ import annotations
@@ -24,19 +32,68 @@ from .autodiff import Tensor
 from .errors import DimensionError, UsageError
 
 
+class Layout:
+    """Where B sentences of the given lengths sit in a time-major [S·B, ·] matrix.
+
+    ``mask`` is the [B, S] boolean matrix of each sentence's real steps;
+    None when no sentence is shorter than S, as for one sentence.
+    """
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.ndim != 1 or lengths.size == 0:
+            raise DimensionError(f"layout needs a flat list of lengths, got {lengths.shape}")
+        if lengths.min() < 1:
+            raise UsageError("cannot encode an empty sequence")
+        self.lengths = lengths
+        self.batch = B = lengths.size
+        self.steps = S = int(lengths.max())
+        self.last_rows = (lengths - 1) * B + np.arange(B)
+        self.mask = np.arange(S) < lengths[:, None] if (lengths < S).any() else None
+
+    def step(self, x: Tensor, t: int) -> Tensor:
+        """The [B, ·] rows of step t of a time-major matrix."""
+        return ad.take_rows(x, np.arange(t * self.batch, (t + 1) * self.batch))
+
+    def at_last_step(self, steps: list[Tensor]) -> Tensor:
+        """Row b of ``steps[lengths[b] - 1]`` for every sentence b, as [B, ·] rows."""
+        if (self.lengths == self.steps).all():
+            return steps[-1]
+        return ad.take_rows(ad.stack_rows(steps), self.last_rows)
+
+
+def _layout(embeddings: Tensor, lengths) -> Layout:
+    if embeddings.data.ndim != 2:
+        raise DimensionError("encoder expects an [S·B, D] embedding matrix")
+    layout = Layout([embeddings.shape[0]] if lengths is None else lengths)
+    if layout.steps * layout.batch != embeddings.shape[0]:
+        raise DimensionError(
+            f"{embeddings.shape[0]} embedding rows for {layout.batch} sentences "
+            f"of up to {layout.steps} tokens"
+        )
+    return layout
+
+
 @dataclass
 class EncoderOutput:
     """What a decoder needs from an encoder, plus the memory trace for inspection.
 
-    ``states``: [T, D] matrix attended over by the decoder.
-    ``final_h`` / ``final_c``: last [1, H] hidden/cell state for decoder init.
-    ``slot_weights``: per-step [T] memory attention weights (memory encoder only).
+    ``states``: time-major [S·B, D] matrix attended over by the decoder.
+    ``final_h`` / ``final_c``: [B, H] hidden/cell state at each sentence's
+    last step, for decoder init.
+    ``mask``: [B, S] real steps of each sentence; None without padding.
+    ``slot_weights``: per-step [B, S] memory attention (memory encoder only).
     """
 
     states: Tensor
     final_h: Tensor
     final_c: Tensor
+    mask: np.ndarray | None = None
     slot_weights: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def batch(self) -> int:
+        return self.final_h.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -63,35 +120,45 @@ class LstmEncoderParams:
         )
 
 
+def _lstm_layer(p: layers.LstmCellParams, inputs: Tensor, layout: Layout):
+    """One LSTM layer over a time-major input; returns its per-step (h, c) rows."""
+    wx = ad.affine_rows(inputs, p.W_x)
+    h = c = Tensor(np.zeros((layout.batch, p.hidden_dim)))
+    hs, cs = [], []
+    for t in range(layout.steps):
+        h, c = layers.lstm_recur(p, layout.step(wx, t), h, c)
+        hs.append(h)
+        cs.append(c)
+    return hs, cs
+
+
 def lstm_encode(
     p: LstmEncoderParams,
     embeddings: Tensor,
     dropout_rate: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    lengths=None,
 ) -> EncoderOutput:
-    """Run both LSTM layers over the sequence; layer-2 states are the output.
+    """Run both LSTM layers over the sequences; layer-2 states are the output.
 
-    Dropout (training only) is applied to the layer-1 outputs feeding
-    layer 2, never inside the recurrence.
+    ``lengths`` gives the B sentence lengths of a time-major batch; None is
+    one sentence.  Layer 2 runs after layer 1 has finished, so both input
+    projections are hoisted.  Dropout (training only) is applied to the
+    layer-1 outputs feeding layer 2, never inside the recurrence.
     """
-    if embeddings.data.ndim != 2:
-        raise DimensionError("encoder expects a [T, D] embedding matrix")
-    T = embeddings.shape[0]
-    if T < 1:
-        raise UsageError("cannot encode an empty sequence")
-    H = p.layer1.hidden_dim
-    h1, c1, h2, c2 = (Tensor(np.zeros((1, H))) for _ in range(4))
-    outputs = []
-    for t in range(T):
-        x = ad.take_rows(embeddings, [t])
-        h1, c1 = layers.lstm_step(p.layer1, x, h1, c1)
-        mid = h1
-        if training and dropout_rate > 0.0:
-            mid = ad.dropout(mid, dropout_rate, training, rng)
-        h2, c2 = layers.lstm_step(p.layer2, mid, h2, c2)
-        outputs.append(h2)
-    return EncoderOutput(states=ad.stack_rows(outputs), final_h=h2, final_c=c2)
+    layout = _layout(embeddings, lengths)
+    h1s, _ = _lstm_layer(p.layer1, embeddings, layout)
+    mid = ad.stack_rows(h1s)
+    if training and dropout_rate > 0.0:
+        mid = ad.dropout(mid, dropout_rate, training, rng)
+    h2s, c2s = _lstm_layer(p.layer2, mid, layout)
+    return EncoderOutput(
+        states=ad.stack_rows(h2s),
+        final_h=layout.at_last_step(h2s),
+        final_c=layout.at_last_step(c2s),
+        mask=layout.mask,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,53 +200,54 @@ class NseState:
     memory: Tensor
 
 
-def nse_initial_state(embeddings: Tensor, hidden_dim: int) -> NseState:
-    """Zero [1, H] LSTM states with memory rows set to the token embeddings."""
-    z = lambda: Tensor(np.zeros((1, hidden_dim)))
+def nse_initial_state(embeddings: Tensor, hidden_dim: int, batch: int = 1) -> NseState:
+    """Zero [B, H] LSTM states with memory rows set to the token embeddings."""
+    z = lambda: Tensor(np.zeros((batch, hidden_dim)))
     return NseState(read_h=z(), read_c=z(), write_h=z(), write_c=z(), memory=embeddings)
 
 
-def memory_retrieve(read_h: Tensor, memory: Tensor):
+def memory_retrieve(read_h: Tensor, memory: Tensor, mask: np.ndarray | None = None):
     """Soft-read the memory: weights = softmax(M r), summary = weights M.
 
-    ``read_h`` is a [1, D] row; the weights are [1, T] and the summary [1, D].
+    ``read_h`` holds one [B, D] row per sentence of a time-major [S·B, D]
+    memory; each row reads its own sentence's S slots, giving [B, S] weights
+    and [B, D] summaries.  With a [B, S] boolean ``mask`` each row reads only
+    the slots where it is True: the others get weight exactly 0.0.
     """
-    if memory.data.ndim != 2 or read_h.shape != (1, memory.shape[1]):
+    if (
+        memory.data.ndim != 2
+        or read_h.data.ndim != 2
+        or read_h.shape[1] != memory.shape[1]
+    ):
         raise DimensionError(
             f"retrieve got read state {read_h.shape} against memory {memory.shape}"
         )
-    weights = ad.softmax_rows(ad.affine_rows(read_h, memory))
-    summary = ad.matmul(weights, memory)
+    B = read_h.shape[0]
+    weights = ad.softmax_rows(ad.seq_scores(read_h, memory, B), mask)
+    summary = ad.seq_mix(weights, memory, B)
     return weights, summary
 
 
 def memory_update(memory: Tensor, weights: Tensor, written: Tensor) -> Tensor:
-    """Blend the written row into each memory row: M_i <- (1-s_i) M_i + s_i w.
+    """Blend each written row into its sentence's slots: M <- (1-s) M + s w.
 
-    ``weights`` is [1, T] and ``written`` is [1, D] for a [T, D] memory.
+    ``weights`` is [B, S] and ``written`` is [B, D] for a time-major
+    [S·B, D] memory: slot t·B + b moves toward ``written[b]`` by
+    ``weights[b, t]``.
     """
-    if (
-        memory.data.ndim != 2
-        or weights.shape != (1, memory.shape[0])
-        or written.shape != (1, memory.shape[1])
-    ):
-        raise DimensionError(
-            f"update got weights {weights.shape}, written {written.shape} "
-            f"against memory {memory.shape}"
-        )
-    T, D = memory.shape
-    col = ad.reshape(weights, (T, 1))
-    return ad.add(memory, ad.mul(col, ad.sub(ad.reshape(written, (D,)), memory)))
+    return ad.blend_rows(memory, weights, written)
 
 
-def nse_step(p: NseEncoderParams, x_t: Tensor, state: NseState):
-    """One read/compose/write transition.
+def nse_step(p: NseEncoderParams, wx: Tensor, state: NseState, mask: np.ndarray | None):
+    """One read/compose/write transition of every sentence.
 
-    Returns ``(written, new_state, weights)`` where ``written`` is this
-    step's [1, D] output row and ``weights`` the [1, T] memory attention.
+    ``wx`` is the step's read-LSTM input, already projected, and ``mask``
+    the memory read mask of :func:`memory_retrieve`.  Returns
+    ``(written, new_state, weights)`` where ``written`` is this step's
+    [B, D] output rows and ``weights`` the [B, S] memory attention.
     """
-    read_h, read_c = layers.lstm_step(p.read, x_t, state.read_h, state.read_c)
-    weights, summary = memory_retrieve(read_h, state.memory)
+    read_h, read_c = layers.lstm_recur(p.read, wx, state.read_h, state.read_c)
+    weights, summary = memory_retrieve(read_h, state.memory, mask)
     compose_out = layers.mlp(p.compose, ad.concat(read_h, summary))
     write_h, write_c = layers.lstm_step(p.write, compose_out, state.write_h, state.write_c)
     memory = memory_update(state.memory, weights, write_h)
@@ -195,36 +263,37 @@ def nse_encode(
     dropout_rate: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    lengths=None,
 ) -> EncoderOutput:
-    """Encode a sequence with the memory encoder.
+    """Encode sequences with the memory encoder.
 
-    The memory starts as the embedding matrix itself.  Dropout (training
-    only) touches the read-LSTM inputs and the emitted state rows; the
-    memory and the recurrent paths stay clean.  The per-step memory
-    attention rows are returned for inspection.
+    ``lengths`` gives the B sentence lengths of a time-major batch; None is
+    one sentence.  The memory starts as the embedding matrix itself, one
+    stacked [S·B, D] memory for the batch.  Dropout (training only) touches
+    the read-LSTM inputs and the emitted state rows; the memory and the
+    recurrent paths stay clean.  The per-step memory attention is returned
+    for inspection.
     """
-    if embeddings.data.ndim != 2:
-        raise DimensionError("encoder expects a [T, D] embedding matrix")
-    T = embeddings.shape[0]
-    if T < 1:
-        raise UsageError("cannot encode an empty sequence")
-    H = p.read.hidden_dim
-    state = nse_initial_state(embeddings, H)
-    outputs = []
+    layout = _layout(embeddings, lengths)
+    x = embeddings
+    if training and dropout_rate > 0.0:
+        x = ad.dropout(x, dropout_rate, training, rng)
+    wx = ad.affine_rows(x, p.read.W_x)
+    state = nse_initial_state(embeddings, p.read.hidden_dim, layout.batch)
+    written_rows, write_cs = [], []
     slot_weights: list[np.ndarray] = []
-    for t in range(T):
-        x = ad.take_rows(embeddings, [t])
-        if training and dropout_rate > 0.0:
-            x = ad.dropout(x, dropout_rate, training, rng)
-        written, state, weights = nse_step(p, x, state)
-        out_row = written
-        if training and dropout_rate > 0.0:
-            out_row = ad.dropout(out_row, dropout_rate, training, rng)
-        outputs.append(out_row)
-        slot_weights.append(weights.data[0])
+    for t in range(layout.steps):
+        written, state, weights = nse_step(p, layout.step(wx, t), state, layout.mask)
+        written_rows.append(written)
+        write_cs.append(state.write_c)
+        slot_weights.append(weights.data)
+    states = ad.stack_rows(written_rows)
+    if training and dropout_rate > 0.0:
+        states = ad.dropout(states, dropout_rate, training, rng)
     return EncoderOutput(
-        states=ad.stack_rows(outputs),
-        final_h=state.write_h,
-        final_c=state.write_c,
+        states=states,
+        final_h=layout.at_last_step(written_rows),
+        final_c=layout.at_last_step(write_cs),
+        mask=layout.mask,
         slot_weights=slot_weights,
     )

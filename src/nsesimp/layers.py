@@ -111,18 +111,30 @@ def lstm_step(p: LstmCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor):
     [k, I] inputs with [k, H] states step k sequences at once, one per row;
     one sequence is k = 1.
     """
+    if x.data.ndim != 2 or x.shape[1] != p.input_dim:
+        raise DimensionError(f"lstm_step got x{x.shape} for cell I={p.input_dim}")
+    return lstm_recur(p, ad.affine_rows(x, p.W_x), h_prev, c_prev)
+
+
+def lstm_recur(p: LstmCellParams, wx: Tensor, h_prev: Tensor, c_prev: Tensor):
+    """:func:`lstm_step` from an input already projected: ``wx`` = W_x x.
+
+    A recurrence whose inputs are all known before it starts projects them
+    with one [n, I] product up front and passes each step's [k, 4H] rows.
+    """
     H = p.hidden_dim
+    k = wx.shape[0]
     if (
-        x.data.ndim != 2
-        or x.shape[1] != p.input_dim
-        or h_prev.shape != (x.shape[0], H)
-        or c_prev.shape != (x.shape[0], H)
+        wx.data.ndim != 2
+        or wx.shape[1] != 4 * H
+        or h_prev.shape != (k, H)
+        or c_prev.shape != (k, H)
     ):
         raise DimensionError(
-            f"lstm_step got x{x.shape}, h{h_prev.shape}, c{c_prev.shape} "
-            f"for cell I={p.input_dim}, H={H}"
+            f"lstm step got projected input {wx.shape}, h{h_prev.shape}, c{c_prev.shape} "
+            f"for cell H={H}"
         )
-    z = ad.add(ad.add(ad.affine_rows(x, p.W_x), ad.affine_rows(h_prev, p.W_h)), p.b)
+    z = ad.add(ad.add(wx, ad.affine_rows(h_prev, p.W_h)), p.b)
     i = ad.sigmoid(ad.narrow(z, 0, H))
     f = ad.sigmoid(ad.narrow(z, H, 2 * H))
     g = ad.tanh(ad.narrow(z, 2 * H, 3 * H))

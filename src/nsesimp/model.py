@@ -29,7 +29,7 @@ from .encoders import (
     lstm_encode,
     nse_encode,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 
 ENCODER_KINDS = ("lstm", "nse")
 
@@ -99,17 +99,32 @@ def build_model(
     )
 
 
+def _id_rows(ids) -> np.ndarray:
+    """Token ids as a [B, n] array; a flat sequence is one row."""
+    rows = np.asarray(ids, dtype=np.intp)
+    return rows.reshape(1, -1) if rows.ndim == 1 else rows
+
+
 def encode(
     model: Model,
     src_ids,
     dropout_rate: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    lengths=None,
 ) -> EncoderOutput:
-    emb = layers.embed(model.src_embed, src_ids)
+    """Encode one id sequence, or the rows of a padded [B, S] id array.
+
+    ``lengths`` gives each row's real length (default: all S).  The states
+    come out time-major: row t·B + b is token t of sentence b.
+    """
+    ids = _id_rows(src_ids)
+    if lengths is None:
+        lengths = [ids.shape[1]] * ids.shape[0]
+    emb = layers.embed(model.src_embed, ids.T.reshape(-1))
     if model.encoder_kind == "lstm":
-        return lstm_encode(model.encoder, emb, dropout_rate, training, rng)
-    return nse_encode(model.encoder, emb, dropout_rate, training, rng)
+        return lstm_encode(model.encoder, emb, dropout_rate, training, rng, lengths)
+    return nse_encode(model.encoder, emb, dropout_rate, training, rng, lengths)
 
 
 def teacher_logits(
@@ -120,20 +135,27 @@ def teacher_logits(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Teacher-forced forward pass; returns the [T, V] logit matrix.
+    """Teacher-forced forward pass; returns the time-major [T·B, V] logits.
 
     ``decoder_input_ids`` is the gold target shifted right, i.e. starts
-    with the sentence-begin id.  The embedding gather and the output layer
-    run once over the whole sentence, so each has a single V-sized
-    gradient; only the recurrence steps one token at a time, as [1, ·] rows.
+    with the sentence-begin id: one sequence, or a [B, T] array with a row
+    per encoded sentence (padding past a row's end is computed and ignored).
+    The embedding gather and the output layer run once over the whole
+    batch, so each has a single V-sized gradient; only the recurrence steps
+    one token at a time, as [B, ·] rows.
     """
     p = model.decoder
+    ids = _id_rows(decoder_input_ids)
+    B, T = ids.shape
     state = init_decoder(p, enc)
-    inputs = ad.take_rows(model.tgt_embed.E, decoder_input_ids)
+    if enc.batch != B:
+        raise DimensionError(f"{B} target rows for {enc.batch} encoded sentences")
+    inputs = ad.take_rows(model.tgt_embed.E, ids.T.reshape(-1))
     features = []
-    for t in range(inputs.shape[0]):
+    for t in range(T):
+        y = ad.take_rows(inputs, np.arange(t * B, (t + 1) * B))
         state, _, feature = decoder_recurrence(
-            p, state, ad.take_rows(inputs, [t]), enc.states, dropout_rate, training, rng
+            p, state, y, enc.states, dropout_rate, training, rng, B, enc.mask
         )
         features.append(feature)
     return layers.linear(p.out_w, p.out_b, ad.stack_rows(features))

@@ -1,8 +1,9 @@
 """Training engine: masked cross-entropy, Adam, epoch loop, checkpoints.
 
 Training is teacher-forced throughout: the decoder always sees gold
-previous tokens.  Each batch accumulates per-sentence gradients of the
-token-mean loss, clips the global gradient norm, and takes one Adam step.
+previous tokens.  Each batch runs as one graph of [B, ·] rows, whose loss
+is the token mean over the whole batch; its gradient's global norm is
+clipped and one Adam step is taken.
 After every epoch the development set is decoded greedily (with unknowns
 replaced from the source via attention) and scored with corpus BLEU and
 SARI; the checkpoint whose epoch wins the selection rule is retained.
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import BOS_ID, EOS_ID, PAD_ID, ParallelCorpus, Vocabulary, batches, build_vocab
+from .data import BOS_ID, PAD_ID, Batch, ParallelCorpus, Vocabulary, batches, build_vocab
 from .errors import ConfigError, FormatError, NumericError, UsageError
 from .metrics import EvalInstance, bleu_corpus, sari_corpus
 from .model import ENCODER_KINDS, DecodeSession, Model, build_model, encode, teacher_logits
@@ -53,6 +54,30 @@ def xent_loss(logits: Tensor, target_ids) -> Tensor:
     return ad.scale(ad.sum_all(masked), -1.0 / real)
 
 
+def batch_loss(
+    model: Model,
+    batch: Batch,
+    dropout_rate: float = 0.0,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Teacher-forced loss of a padded batch, as one graph.
+
+    The sum of every real target token's negative log-likelihood, divided
+    by the batch's real-token count.  Source and decoder-input ids past a
+    sentence's end are never read into a real position, so they change
+    neither the loss nor its gradients.
+    """
+    lengths = batch.src_mask.sum(axis=1).astype(np.intp)
+    enc = encode(model, batch.src, dropout_rate, training, rng, lengths)
+    dec_in = np.concatenate(
+        [np.full((batch.size, 1), BOS_ID), batch.tgt_out[:, :-1]], axis=1
+    )
+    logits = teacher_logits(model, enc, dec_in, dropout_rate, training, rng)
+    # time-major, like the logits: row t·B + b is target t of sentence b
+    return xent_loss(logits, batch.tgt_out.T.reshape(-1))
+
+
 def sentence_loss(
     model: Model,
     src_ids,
@@ -63,13 +88,10 @@ def sentence_loss(
 ) -> Tensor:
     """Teacher-forced mean token loss for one (source, target) id pair.
 
-    ``tgt_ids`` is the bare target; begin/end wrapping happens here.
+    ``tgt_ids`` is the bare target; begin/end wrapping happens here.  This
+    is :func:`batch_loss` of a batch of one.
     """
-    enc = encode(model, src_ids, dropout_rate, training, rng)
-    dec_in = [BOS_ID] + list(tgt_ids)
-    dec_out = list(tgt_ids) + [EOS_ID]
-    logits = teacher_logits(model, enc, dec_in, dropout_rate, training, rng)
-    return xent_loss(logits, dec_out)
+    return batch_loss(model, Batch.from_ids([(src_ids, tgt_ids)]), dropout_rate, training, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -642,18 +664,12 @@ def train(
             for b, batch in enumerate(batch_iter, 1):
                 try:
                     model.zero_grads()
+                    with Tape() as tape:
+                        loss = batch_loss(model, batch, config.dropout, True, dropout_rng)
+                    backward(loss, tape)
                     batch_tokens = int(batch.tgt_mask.sum())
-                    for i in range(batch.size):
-                        tgt = batch.tgt_out_ids(i)[:-1]  # drop the end marker
-                        n_out = len(tgt) + 1
-                        with Tape() as tape:
-                            mean_loss = sentence_loss(
-                                model, batch.src_ids(i), tgt, config.dropout, True, dropout_rng
-                            )
-                            contribution = ad.scale(mean_loss, n_out / batch_tokens)
-                        backward(contribution, tape)
-                        total_nll += mean_loss.item() * n_out
-                        total_tokens += n_out
+                    total_nll += loss.item() * batch_tokens
+                    total_tokens += batch_tokens
                     clip_global_norm(params, config.clip_norm)
                     adam_step(params, adam, lr, config.beta1, config.beta2, config.adam_eps)
                 except NumericError as err:

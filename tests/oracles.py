@@ -5,6 +5,12 @@ shared code with the package: finite differences for gradients, direct
 n-gram scanning for the metrics, filter-then-argmax for model selection,
 and a beam search that steps one hypothesis at a time.  Slow on purpose;
 clarity over speed.
+
+The one exception is the per-sentence model: the teacher-forced loss of one
+(source, target) pair, stepping one token at a time.  It is built from the
+package's tape ops, which criterion 1 checks against finite differences,
+and from a model's parameter records, but shares none of the batched
+encoder, decoder or loss code it is a reference for.
 """
 
 from __future__ import annotations
@@ -12,6 +18,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from nsesimp import autodiff as ad
+from nsesimp.autodiff import Tensor
+from nsesimp.data import BOS_ID, EOS_ID
 
 
 def lower(tokens):
@@ -243,3 +253,91 @@ def beam_search(session, beam, max_len, length_normalize, eos_id):
         return score / max(len(tokens) + (1 if done else 0), 1)
 
     return max(pool, key=key)
+
+
+# ---------------------------------------------------------------------------
+# the per-sentence model
+
+
+def lstm_cell(p, x, h, c):
+    """One LSTM transition of [1, ·] rows: gates W_x x + W_h h + b in [i, f, g, o] order."""
+    H = p.hidden_dim
+    z = ad.add(ad.add(ad.affine_rows(x, p.W_x), ad.affine_rows(h, p.W_h)), p.b)
+    i = ad.sigmoid(ad.narrow(z, 0, H))
+    f = ad.sigmoid(ad.narrow(z, H, 2 * H))
+    g = ad.tanh(ad.narrow(z, 2 * H, 3 * H))
+    o = ad.sigmoid(ad.narrow(z, 3 * H, 4 * H))
+    c = ad.add(ad.mul(f, c), ad.mul(i, g))
+    return ad.mul(o, ad.tanh(c)), c
+
+
+def _zeros(H):
+    return Tensor(np.zeros((1, H)))
+
+
+def lstm_encode(p, emb):
+    """Two stacked LSTM layers, token by token; returns (states, final h, final c)."""
+    h1 = c1 = h2 = c2 = _zeros(p.layer1.hidden_dim)
+    outputs = []
+    for t in range(emb.shape[0]):
+        h1, c1 = lstm_cell(p.layer1, ad.take_rows(emb, [t]), h1, c1)
+        h2, c2 = lstm_cell(p.layer2, h1, h2, c2)
+        outputs.append(h2)
+    return ad.stack_rows(outputs), h2, c2
+
+
+def nse_encode(p, emb):
+    """The memory encoder, token by token; returns (states, final h, final c, slot weights).
+
+    The memory starts as the embeddings; each step reads it with softmax
+    weights, composes, writes, and moves every row toward the written row
+    by its weight.
+    """
+    S, D = emb.shape
+    read_h = read_c = write_h = write_c = _zeros(p.read.hidden_dim)
+    memory = emb
+    outputs, slot_weights = [], []
+    for t in range(S):
+        read_h, read_c = lstm_cell(p.read, ad.take_rows(emb, [t]), read_h, read_c)
+        weights = ad.softmax_rows(ad.affine_rows(read_h, memory))
+        summary = ad.matmul(weights, memory)
+        hidden = ad.tanh(ad.affine_rows(ad.concat(read_h, summary), p.compose.W1, p.compose.b1))
+        composed = ad.affine_rows(hidden, p.compose.W2, p.compose.b2)
+        write_h, write_c = lstm_cell(p.write, composed, write_h, write_c)
+        step = ad.sub(ad.reshape(write_h, (D,)), memory)
+        memory = ad.add(memory, ad.mul(ad.reshape(weights, (S, 1)), step))
+        outputs.append(write_h)
+        slot_weights.append(weights.data[0])
+    return ad.stack_rows(outputs), write_h, write_c, slot_weights
+
+
+def encode(model, src_ids):
+    """(states [S, D], final h [1, H], final c [1, H]) of one source sentence."""
+    emb = ad.take_rows(model.src_embed.E, src_ids)
+    if model.encoder_kind == "lstm":
+        return lstm_encode(model.encoder, emb)
+    return nse_encode(model.encoder, emb)[:3]
+
+
+def teacher_logits(model, states, final_h, final_c, decoder_input_ids):
+    """[T, V] logits, one full decoder step (attention, two layers, output) per token."""
+    p = model.decoder
+    h1 = h2 = ad.tanh(ad.affine_rows(final_h, p.init_h))
+    c1 = c2 = ad.tanh(ad.affine_rows(final_c, p.init_c))
+    rows = []
+    for token in decoder_input_ids:
+        y = ad.take_rows(model.tgt_embed.E, [token])
+        alpha = ad.softmax_rows(ad.affine_rows(h2, states))
+        context = ad.matmul(alpha, states)
+        h1, c1 = lstm_cell(p.layer1, ad.concat(y, context), h1, c1)
+        h2, c2 = lstm_cell(p.layer2, h1, h2, c2)
+        rows.append(ad.affine_rows(ad.concat(h2, context), p.out_w, p.out_b))
+    return ad.stack_rows(rows)
+
+
+def sentence_nll(model, src_ids, tgt_ids):
+    """Summed negative log-likelihood of the wrapped target of one pair (no dropout)."""
+    states, final_h, final_c = encode(model, src_ids)
+    logits = teacher_logits(model, states, final_h, final_c, [BOS_ID] + list(tgt_ids))
+    picked = ad.gather_rows(ad.log_softmax_rows(logits), list(tgt_ids) + [EOS_ID])
+    return ad.scale(ad.sum_all(picked), -1.0)

@@ -5,6 +5,7 @@ FAIL line per criterion after the run.  Every tolerance and time budget is
 asserted inside the tests themselves, so a green run is the whole story.
 """
 
+import copy
 import pathlib
 import time
 
@@ -18,8 +19,8 @@ from test_search import MarkovSession, enumerate_best, random_markov
 from nsesimp import autodiff as ad
 from nsesimp import layers
 from nsesimp.autodiff import Tensor, grad_check
-from nsesimp.data import UNK_ID, ParallelCorpus, Vocabulary
-from nsesimp.encoders import memory_retrieve, memory_update
+from nsesimp.data import EOS_ID, UNK_ID, Batch, ParallelCorpus, Vocabulary
+from nsesimp.encoders import EncoderOutput, memory_retrieve, memory_update
 from nsesimp.errors import FormatError
 from nsesimp.layers import EmbeddingTable, LstmCellParams, MlpParams
 from nsesimp.metrics import EvalInstance, bleu_corpus, sari_corpus, sari_instance
@@ -29,6 +30,7 @@ from nsesimp.training import (
     AdamState,
     EpochRecord,
     TrainConfig,
+    batch_loss,
     load_checkpoint,
     make_checkpoint,
     preset_config,
@@ -171,6 +173,28 @@ def _op_checks():
         [mem, wts, wr],
         lambda mem=mem, wts=wts, wr=wr, w=w: ws(memory_update(mem, wts, wr), w),
     )
+    # two sentences of three steps, time-major; the second has one padding step
+    mem, read_h, keep = uni(6, 3), uni(2, 3), np.array([[1, 1, 1], [1, 1, 0]], dtype=bool)
+    w1, w2 = pos(2, 3), pos(2, 3)
+    def batched_retrieve_fn(mem=mem, read_h=read_h, keep=keep, w1=w1, w2=w2):
+        weights, summary = memory_retrieve(read_h, mem, keep)
+        return ad.add(ws(weights, w1), ws(summary, w2))
+    check("memory read, two sentences", [mem, read_h], batched_retrieve_fn)
+    mem, wts, wr = uni(6, 3), pos(2, 3), uni(2, 3)
+    w = pos(6, 3)
+    check(
+        "memory write, two sentences",
+        [mem, wts, wr],
+        lambda mem=mem, wts=wts, wr=wr, w=w: ws(memory_update(mem, wts, wr), w),
+    )
+    # padding slots: exact zeros, no gradient
+    x, w = uni(3, 5), pos(3, 5)
+    keep = np.array([[1, 0, 1, 1, 0], [0, 0, 0, 1, 0], [1, 1, 1, 1, 1]], dtype=bool)
+    check(
+        "masked softmax rows",
+        [x],
+        lambda x=x, w=w, keep=keep: ws(ad.softmax_rows(x, keep), w),
+    )
     return checks
 
 
@@ -198,6 +222,16 @@ def _full_model_checks():
                     m, s, g, dropout_rate=0.3, training=True,
                     rng=np.random.default_rng(77),
                 ),
+            )
+        )
+        # two sentences of unequal lengths in one padded graph
+        batch = Batch.from_ids([(src, tgt), ([6], [4])])
+        out.append(
+            (
+                f"{kind} model padded batch loss",
+                model.params(),
+                names,
+                lambda m=model, b=batch: batch_loss(m, b),
             )
         )
     return out
@@ -373,9 +407,9 @@ class TestToyTaskLearning:
 
 
 @pytest.fixture(scope="module")
-def model_sessions():
-    """Thirty decode sessions over random models of both encoder kinds."""
-    sessions = []
+def model_sources():
+    """Thirty (random model, source ids) pairs over both encoder kinds."""
+    out = []
     for i in range(30):
         rng = np.random.default_rng(400 + i)
         kind = "lstm" if i % 2 == 0 else "nse"
@@ -383,8 +417,14 @@ def model_sessions():
         dim = int(rng.integers(4, 7))
         model = build_model(kind, dim, vocab, vocab, rng)
         src = [int(t) for t in rng.integers(4, vocab, size=int(rng.integers(2, 5)))]
-        sessions.append(DecodeSession(model, src))
-    return sessions
+        out.append((model, src))
+    return out
+
+
+@pytest.fixture(scope="module")
+def model_sessions(model_sources):
+    """A decode session over each of the thirty random models and sources."""
+    return [DecodeSession(model, src) for model, src in model_sources]
 
 
 @pytest.mark.criterion(4)
@@ -412,6 +452,26 @@ class TestSearch:
                 assert np.array_equal(ga, ba)
             cases += 1
         assert cases == 100
+
+    def test_sessions_decode_as_over_the_per_step_reference_encoder(
+        self, model_sources, model_sessions
+    ):
+        # the same sessions with the one-sentence encoder output swapped for
+        # the per-step reference encoder's, searched by the oracle search
+        for (model, src), session in zip(model_sources, model_sessions):
+            reference = copy.copy(session)
+            reference.encoder_output = EncoderOutput(*oracles.encode(model, src))
+            for beam in (1, 5, 10):
+                if beam == 1:
+                    got = greedy_decode(session, 12)
+                    again = beam_decode(session, 1, 12)
+                    assert (again.tokens, again.score) == (got.tokens, got.score)
+                else:
+                    got = beam_decode(session, beam, 12)
+                    assert got.tokens == beam_decode(reference, beam, 12).tokens
+                tokens, score, _, _ = oracles.beam_search(reference, beam, 12, False, EOS_ID)
+                assert got.tokens == tokens
+                assert abs(got.score - score) <= 1e-12 * abs(score)
 
     def test_wider_beam_never_scores_below_greedy(self):
         rng = np.random.default_rng(41)

@@ -317,13 +317,16 @@ class TestDeferredWeightGradient:
             loss = ad.sum_all(lstm_encode(p, emb).states)
         returned = [_grads_returned_for(tape, W) for W in weights]
         backward(loss, tape)
-        # no backward rule forms a dense [4H, H] product for a weight
-        for parts in returned:
-            assert len(parts) == T
+        # no backward rule forms a dense [4H, H] product for a weight: each
+        # hoisted input weight gets one T-row block, each recurrent weight
+        # one row block per step, and each is summed with one product
+        for parts, uses in zip(returned, (1, T, 1, T)):
+            assert len(parts) == uses
             assert all(type(g) is ad._Outer for g in parts)
-        for W in weights:
+            assert sum(g.g.shape[0] for g in parts) == T
+        for W, parts in zip(weights, returned):
             [g] = accumulated[id(W)]
-            assert steps_behind[id(g)] == T
+            assert steps_behind[id(g)] == len(parts)
 
 
 class TestTableRowGradient:
@@ -452,6 +455,36 @@ class TestSoftmax:
         check_op(lambda: ad.mul(ad.softmax_rows(v), cv), [v])
         check_op(lambda: ad.mul(ad.log_softmax_rows(w), c), [w])
 
+    def test_masked_softmax_matches_softmax_of_the_kept_entries(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3, 6)) * 5
+        mask = np.array(
+            [[1, 1, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [1, 1, 1, 1, 1, 1]], dtype=bool
+        )
+        p = ad.softmax_rows(Tensor(x), mask).data
+        for r in range(3):
+            kept = ad.softmax_rows(Tensor(x[r : r + 1, mask[r]])).data[0]
+            npt.assert_allclose(p[r, mask[r]], kept, rtol=1e-15, atol=0)
+        assert np.all(p[~mask] == 0.0)
+        npt.assert_array_equal(p[2:], ad.softmax_rows(Tensor(x[2:])).data)
+
+    def test_masked_softmax_gives_masked_entries_exact_zero_gradient(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        mask = np.array([[1, 0, 1, 1, 0], [0, 1, 0, 0, 0]], dtype=bool)
+        c = Tensor(rng.normal(size=(2, 5)))
+        check_op(lambda: ad.mul(ad.softmax_rows(x, mask), c), [x])
+        assert np.all(x.grad[~mask] == 0.0)
+        # a one-entry row is the constant 1: no gradient at all
+        assert np.all(x.grad[1] == 0.0)
+
+    def test_masked_softmax_rejects_bad_masks(self):
+        x = Tensor(np.zeros((2, 3)))
+        with pytest.raises(UsageError):
+            ad.softmax_rows(x, np.array([[1, 0, 0], [0, 0, 0]], dtype=bool))
+        with pytest.raises(DimensionError):
+            ad.softmax_rows(x, np.ones((2, 2), dtype=bool))
+
     def test_log_softmax_gradient_is_bitwise_the_eager_formula(self):
         # the probabilities are now formed inside the backward rule; they
         # used to be kept from the forward pass
@@ -571,6 +604,110 @@ class TestReductions:
         npt.assert_allclose(x.grad, np.full((2, 2), 0.5))
 
 
+class TestSequenceOps:
+    """seq_scores / seq_mix: each query row meets only its own sequence."""
+
+    def loops(self, q, a, m, B):
+        # the definitions, one query row at a time
+        S = m.shape[0] // B
+        own = [m[np.arange(S) * B + j % B] for j in range(q.shape[0])]
+        scores = np.array([o @ qj for o, qj in zip(own, q)])
+        mixes = np.array([aj @ o for o, aj in zip(own, a)])
+        return scores, mixes
+
+    @pytest.mark.parametrize("B,r", [(1, 1), (1, 4), (3, 1), (3, 2)])
+    def test_values_match_the_per_row_loops(self, B, r):
+        rng = np.random.default_rng(43)
+        S, D = 5, 4
+        q, a, m = rng.normal(size=(r * B, D)), rng.random((r * B, S)), rng.normal(size=(S * B, D))
+        scores, mixes = self.loops(q, a, m, B)
+        npt.assert_allclose(ad.seq_scores(Tensor(q), Tensor(m), B).data, scores, rtol=1e-14)
+        npt.assert_allclose(ad.seq_mix(Tensor(a), Tensor(m), B).data, mixes, rtol=1e-14)
+
+    def test_one_sequence_is_bitwise_the_plain_products(self):
+        rng = np.random.default_rng(44)
+        q, a, m = rng.normal(size=(3, 4)), rng.random((3, 6)), rng.normal(size=(6, 4))
+        g_s, g_m = rng.normal(size=(3, 6)), rng.normal(size=(3, 4))
+        qt, at, mt = (Tensor(x, requires_grad=True) for x in (q, a, m))
+        with Tape() as tape:
+            scores = ad.seq_scores(qt, mt, 1)
+            mix = ad.seq_mix(at, mt, 1)
+            loss = ad.add(ad.sum_all(ad.mul(scores, Tensor(g_s))), ad.sum_all(ad.mul(mix, Tensor(g_m))))
+        backward(loss, tape)
+        npt.assert_array_equal(scores.data, q @ m.T)
+        npt.assert_array_equal(mix.data, a @ m)
+        npt.assert_array_equal(qt.grad, g_s @ m)
+        npt.assert_array_equal(at.grad, g_m @ m.T)
+        npt.assert_array_equal(mt.grad, g_s.T @ q + a.T @ g_m)
+
+    @pytest.mark.parametrize("B,r", [(1, 2), (2, 1), (2, 3)])
+    def test_gradients(self, B, r):
+        rng = np.random.default_rng(45)
+        S, D = 3, 4
+        q = Tensor(rng.normal(size=(r * B, D)), requires_grad=True)
+        a = Tensor(rng.random((r * B, S)), requires_grad=True)
+        m = Tensor(rng.normal(size=(S * B, D)), requires_grad=True)
+        cs, cm = Tensor(rng.normal(size=(r * B, S))), Tensor(rng.normal(size=(r * B, D)))
+        check_op(lambda: ad.mul(ad.seq_scores(q, m, B), cs), [q, m])
+        check_op(lambda: ad.mul(ad.seq_mix(a, m, B), cm), [a, m])
+
+    def test_dimension_errors(self):
+        m = Tensor(np.zeros((6, 4)))
+        for op, x, B in (
+            (ad.seq_scores, np.zeros((2, 3)), 2),  # width is not D
+            (ad.seq_scores, np.zeros((3, 4)), 2),  # rows not a multiple of B
+            (ad.seq_scores, np.zeros((4, 4)), 4),  # memory rows not a multiple of B
+            (ad.seq_scores, np.zeros((2, 4)), 0),
+            (ad.seq_scores, np.zeros(4), 1),
+            (ad.seq_mix, np.zeros((2, 6)), 2),  # width is not S = 3
+            (ad.seq_mix, np.zeros(6), 1),
+        ):
+            with pytest.raises(DimensionError):
+                op(Tensor(x), m, B)
+
+
+class TestBlendRows:
+    def test_values_by_hand(self):
+        # B = 2 sequences, S = 2 steps: rows 0 and 2 are sequence 0's
+        m = np.arange(8.0).reshape(4, 2)
+        w = np.array([[10.0, 10.0], [-1.0, -1.0]])
+        s = np.array([[0.5, 0.25], [1.0, 0.0]])
+        out = ad.blend_rows(Tensor(m), Tensor(s), Tensor(w)).data
+        want = [
+            m[0] + 0.5 * (w[0] - m[0]),
+            w[1],  # weight 1 replaces the row
+            m[2] + 0.25 * (w[0] - m[2]),
+            m[3],  # weight 0 keeps it
+        ]
+        npt.assert_allclose(out, want, rtol=1e-15, atol=0)
+        npt.assert_array_equal(out[3], m[3])
+
+    def test_one_sequence_is_the_unfused_formula(self):
+        rng = np.random.default_rng(41)
+        m, s, w = rng.normal(size=(5, 3)), rng.random((1, 5)), rng.normal(size=(1, 3))
+        out = ad.blend_rows(Tensor(m), Tensor(s), Tensor(w)).data
+        npt.assert_array_equal(out, m + s.reshape(5, 1) * (w[0] - m))
+
+    def test_gradients(self):
+        rng = np.random.default_rng(42)
+        m = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        s = Tensor(rng.random((2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        c = Tensor(rng.normal(size=(6, 3)))
+        check_op(lambda: ad.mul(ad.blend_rows(m, s, w), c), [m, s, w])
+
+    def test_dimension_errors(self):
+        m, w = Tensor(np.zeros((6, 3))), Tensor(np.zeros((2, 3)))
+        for bad in (
+            (m, Tensor(np.zeros((2, 5))), w),
+            (m, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))),
+            (m, Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 3)))),
+            (m, Tensor(np.zeros(6)), Tensor(np.zeros(3))),
+        ):
+            with pytest.raises(DimensionError):
+                ad.blend_rows(*bad)
+
+
 class TestBackwardSemantics:
     def test_diamond_graph_accumulates_through_fanout(self):
         # loss = (x*x) summed twice through separate paths: d/dx = 4x
@@ -658,6 +795,16 @@ class TestFiniteChecks:
         x = Tensor(np.full(4, 1e308))
         out = ad.add(x, Tensor(np.zeros(4)))
         assert np.isfinite(out.data).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_guard_neither_warns_on_an_overflowing_sum_nor_misses_one_bad_element(self):
+        x = np.full((3, 4), 1e308)
+        assert np.isfinite(ad.scale(Tensor(x), 1.0).data).all()
+        for bad in (np.nan, np.inf, -np.inf):
+            y = x.copy()
+            y[1, 2] = bad
+            with pytest.raises(NumericError):
+                ad.scale(Tensor(y), 1.0)
 
 
 class TestGradCheck:

@@ -174,10 +174,12 @@ class TestBatches:
         assert b.tgt_mask.sum() == sum(len(t) + 1 for _, t in c.pairs)
 
     def test_target_wrapping(self):
-        c = data.ParallelCorpus([(["a"], ["x", "y"])])
+        c = data.ParallelCorpus([(["a"], ["x", "y"]), (["b"], ["z"])])
         sv, tv = self.vocabs(c)
         (b,) = batches(c, sv, tv, 4, np.random.default_rng(0))
-        assert b.tgt_out_ids(0) == [tv.id("x"), tv.id("y"), EOS_ID]
+        real = sorted(row[mask > 0].tolist() for row, mask in zip(b.tgt_out, b.tgt_mask))
+        assert real == [[tv.id("x"), tv.id("y"), EOS_ID], [tv.id("z"), EOS_ID]]
+        assert np.all(b.tgt_out[b.tgt_mask == 0] == PAD_ID)
 
     def test_padding_uses_pad_id(self):
         c = data.ParallelCorpus([(["a", "b", "c"], ["x"]), (["d"], ["y", "z"])])

@@ -155,7 +155,7 @@ class TestNseEncoder:
         traced = encoders.nse_encode(p, emb)
         assert len(traced.slot_weights) == 4
         for w in traced.slot_weights:
-            assert w.shape == (4,)
+            assert w.shape == (1, 4)
             assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_determinism_without_dropout(self):
@@ -185,3 +185,62 @@ class TestNseEncoder:
         names = [n for n, _ in p.named_params()] + ["emb"]
         report = ad.grad_check(f, params, tol=1e-4, names=names)
         assert report.ok, report.failures
+
+
+class TestBatchedEncoders:
+    """B sentences stepped together as time-major rows, against each alone."""
+
+    LENGTHS = [4, 1, 3]
+
+    def batch(self, rng, D=3):
+        B, S = len(self.LENGTHS), max(self.LENGTHS)
+        sentences = [rng.normal(size=(n, D)) for n in self.LENGTHS]
+        emb = rng.normal(size=(S * B, D))  # padding rows stay random
+        for b, sent in enumerate(sentences):
+            emb[b::B][: len(sent)] = sent
+        return sentences, Tensor(emb)
+
+    @pytest.mark.parametrize(
+        "create, encode",
+        [
+            (encoders.LstmEncoderParams.create, encoders.lstm_encode),
+            (encoders.NseEncoderParams.create, encoders.nse_encode),
+        ],
+    )
+    def test_each_sentence_encodes_as_it_does_alone(self, create, encode):
+        rng = np.random.default_rng(15)
+        p = create(3, rng)
+        sentences, emb = self.batch(rng)
+        B = len(sentences)
+        out = encode(p, emb, lengths=self.LENGTHS)
+        assert out.states.shape == emb.shape
+        assert out.final_h.shape == out.final_c.shape == (B, 3)
+        for b, sent in enumerate(sentences):
+            alone = encode(p, Tensor(sent))
+            pairs = [
+                (out.states.data[b::B][: len(sent)], alone.states.data),
+                (out.final_h.data[b], alone.final_h.data[0]),
+                (out.final_c.data[b], alone.final_c.data[0]),
+            ]
+            for got, want in pairs:
+                npt.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_batched_memory_update_touches_only_own_slots(self):
+        rng = np.random.default_rng(16)
+        B, S, D = 2, 3, 4
+        memory = rng.normal(size=(S * B, D))
+        weights = rng.random((B, S))
+        written = rng.normal(size=(B, D))
+        updated = encoders.memory_update(Tensor(memory), Tensor(weights), Tensor(written)).data
+        for b in range(B):
+            alone = encoders.memory_update(
+                Tensor(memory[b::B]), Tensor(weights[b : b + 1]), Tensor(written[b : b + 1])
+            ).data
+            npt.assert_array_equal(updated[b::B], alone)
+
+    def test_lengths_must_fit_the_rows(self):
+        p = encoders.NseEncoderParams.create(3, np.random.default_rng(0))
+        with pytest.raises(DimensionError):
+            encoders.nse_encode(p, Tensor(np.zeros((7, 3))), lengths=[3, 2])
+        with pytest.raises(UsageError):
+            encoders.nse_encode(p, Tensor(np.zeros((6, 3))), lengths=[3, 0])

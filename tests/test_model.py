@@ -58,7 +58,7 @@ class TestEncodeDispatch:
         m = M.build_model("nse", 4, 7, 7, np.random.default_rng(4))
         enc = M.encode(m, [4, 5, 6])
         assert len(enc.slot_weights) == 3
-        assert all(w.shape == (3,) for w in enc.slot_weights)
+        assert all(w.shape == (1, 3) for w in enc.slot_weights)
 
 
 class TestTeacherLogits:
