@@ -240,26 +240,6 @@ def _reduce_to(g: Array, shape: tuple[int, ...]) -> Array:
     return g.sum(axis=1, keepdims=True)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _ew_check(a.data, b.data)
-    ash, bsh = a.shape, b.shape
-
-    def bw(g):
-        return _reduce_to(g, ash), _reduce_to(g, bsh)
-
-    return _emit(a.data + b.data, (a, b), bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _ew_check(a.data, b.data)
-    ash, bsh = a.shape, b.shape
-
-    def bw(g):
-        return _reduce_to(g, ash), _reduce_to(-g, bsh)
-
-    return _emit(a.data - b.data, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _ew_check(a.data, b.data)
     ad, bd = a.data, b.data
@@ -271,19 +251,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul and friends
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two matrices."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise DimensionError(f"matmul {ad.shape} x {bd.shape}")
-
-    def bw(g):
-        return g @ bd.T, ad.T @ g
-
-    return _emit(ad @ bd, (a, b), bw)
+# products
 
 
 def affine_rows(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
@@ -316,17 +284,6 @@ def affine_rows(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # activations and normalizers
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
-    e = np.exp(-np.abs(xd))
-    out = np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
-
-    return _emit(out, (x,), bw)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -381,6 +338,77 @@ def log_softmax_rows(x: Tensor) -> Tensor:
         return (g - np.exp(out) * g.sum(axis=1, keepdims=True),)
 
     return _emit(out, (x,), bw)
+
+
+# ---------------------------------------------------------------------------
+# the LSTM cell
+
+
+def lstm_cell(wx: Tensor, h_prev: Tensor, c_prev: Tensor, W_h: Tensor, b: Tensor) -> Tensor:
+    """One LSTM transition of k rows as a single op; returns [h | c], [k, 2H].
+
+    ``wx`` is the [k, 4H] input projection W_x x, ``h_prev`` and ``c_prev``
+    the [k, H] states, ``W_h`` [4H, H] and ``b`` [4H].  The gate sum
+    (wx + h_prev W_hᵀ) + b holds the blocks i, f, g, o, and
+    c = σ(f) c_prev + σ(i) tanh(g), h = σ(o) tanh(c).  Every value is
+    rounded as separate sum, sigmoid (from exp(-|z|)), tanh and product ops
+    would round it, in the same order, so [h | c] is theirs bit for bit.
+    The tape keeps the gates, tanh(c) and the output.  The backward is
+    written out by hand and rounds as those ops' rules do, so the gradients
+    are theirs bit for bit too; a trainable W_h's gradient is kept as row
+    blocks, as in :func:`affine_rows`.
+    """
+    wxd, hd, cd, Wd, bd = wx.data, h_prev.data, c_prev.data, W_h.data, b.data
+    if not (
+        hd.ndim == 2
+        and cd.shape == hd.shape
+        and wxd.shape == (hd.shape[0], 4 * hd.shape[1])
+        and Wd.shape == (4 * hd.shape[1], hd.shape[1])
+        and bd.shape == (4 * hd.shape[1],)
+    ):
+        raise DimensionError(
+            f"lstm_cell wx{wxd.shape}, h{hd.shape}, c{cd.shape}, W_h{Wd.shape}, b{bd.shape}"
+        )
+    H = hd.shape[1]
+    z = wxd + hd @ Wd.T
+    z += bd
+    if not np.isfinite(z).all():
+        raise NumericError("operation produced NaN or Inf")
+    # sigmoid as 1/(1+e) where z >= 0 and e/(1+e) elsewhere, e = exp(-|z|),
+    # in one buffer: e <= 1, so max(e, [z >= 0]) is the numerator.  The cell
+    # candidate block is tanh instead.
+    gates = np.abs(z)
+    np.negative(gates, out=gates)
+    np.exp(gates, out=gates)
+    denom = 1.0 + gates
+    np.maximum(gates, z >= 0, out=gates)
+    gates /= denom
+    gates[:, 2 * H : 3 * H] = np.tanh(z[:, 2 * H : 3 * H])
+    i, f, g, o = (gates[:, j * H : (j + 1) * H] for j in range(4))
+    c = f * cd + i * g
+    tc = np.tanh(c)
+
+    def bw(grad):
+        gh = grad[:, :H]
+        dc = grad[:, H:] + gh * o * (1.0 - tc * tc)
+        dz = np.concatenate((dc * g, dc * cd, dc * i, gh * tc), axis=1)
+        # through each activation as the per-op rules round it: (u σ)(1 - σ)
+        # for a sigmoid block and u (1 - g²) for the tanh block
+        slope = gates.copy()
+        slope[:, 2 * H : 3 * H] = 1.0
+        dz *= slope
+        np.subtract(1.0, gates, out=slope)
+        slope[:, 2 * H : 3 * H] = 1.0 - g * g
+        dz *= slope
+        return (
+            dz,
+            dz @ Wd,
+            dc * f,
+            _Outer(dz, hd) if W_h.requires_grad else dz.T @ hd,
+            dz.sum(axis=0),
+        )
+
+    return _emit(np.concatenate((o * tc, c), axis=1), (wx, h_prev, c_prev, W_h, b), bw)
 
 
 # ---------------------------------------------------------------------------

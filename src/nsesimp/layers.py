@@ -121,27 +121,12 @@ def lstm_recur(p: LstmCellParams, wx: Tensor, h_prev: Tensor, c_prev: Tensor):
 
     A recurrence whose inputs are all known before it starts projects them
     with one [n, I] product up front and passes each step's [k, 4H] rows.
+    The cell is one :func:`~nsesimp.autodiff.lstm_cell` node, whose [h | c]
+    output is split into the two states.
     """
     H = p.hidden_dim
-    k = wx.shape[0]
-    if (
-        wx.data.ndim != 2
-        or wx.shape[1] != 4 * H
-        or h_prev.shape != (k, H)
-        or c_prev.shape != (k, H)
-    ):
-        raise DimensionError(
-            f"lstm step got projected input {wx.shape}, h{h_prev.shape}, c{c_prev.shape} "
-            f"for cell H={H}"
-        )
-    z = ad.add(ad.add(wx, ad.affine_rows(h_prev, p.W_h)), p.b)
-    i = ad.sigmoid(ad.narrow(z, 0, H))
-    f = ad.sigmoid(ad.narrow(z, H, 2 * H))
-    g = ad.tanh(ad.narrow(z, 2 * H, 3 * H))
-    o = ad.sigmoid(ad.narrow(z, 3 * H, 4 * H))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
+    hc = ad.lstm_cell(wx, h_prev, c_prev, p.W_h, p.b)
+    return ad.narrow(hc, 0, H), ad.narrow(hc, H, 2 * H)
 
 
 # ---------------------------------------------------------------------------

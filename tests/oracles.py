@@ -8,9 +8,12 @@ clarity over speed.
 
 The one exception is the per-sentence model: the teacher-forced loss of one
 (source, target) pair, stepping one token at a time.  It is built from the
-package's tape ops, which criterion 1 checks against finite differences,
-and from a model's parameter records, but shares none of the batched
-encoder, decoder or loss code it is a reference for.
+package's tape ops and from the sum, difference, product and sigmoid ops
+defined here on the package's tape, all of which criterion 1 checks against
+finite differences, and from a model's parameter records, but shares none
+of the batched encoder, decoder or loss code it is a reference for.  Its
+LSTM cell is the unfused one, sixteen tape nodes per step, that
+``autodiff.lstm_cell`` is checked against.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from nsesimp import autodiff as ad
 from nsesimp.autodiff import Tensor
 from nsesimp.data import BOS_ID, EOS_ID
+from nsesimp.errors import DimensionError
 
 
 def lower(tokens):
@@ -256,18 +260,71 @@ def beam_search(session, beam, max_len, length_normalize, eos_id):
 
 
 # ---------------------------------------------------------------------------
+# tape ops that only the per-sentence model uses
+
+
+def add(a, b):
+    """Elementwise a + b, with the package's narrow broadcasting rules."""
+    ad._ew_check(a.data, b.data)
+    ash, bsh = a.shape, b.shape
+
+    def bw(g):
+        return ad._reduce_to(g, ash), ad._reduce_to(g, bsh)
+
+    return ad._emit(a.data + b.data, (a, b), bw)
+
+
+def sub(a, b):
+    """Elementwise a - b, with the package's narrow broadcasting rules."""
+    ad._ew_check(a.data, b.data)
+    ash, bsh = a.shape, b.shape
+
+    def bw(g):
+        return ad._reduce_to(g, ash), ad._reduce_to(-g, bsh)
+
+    return ad._emit(a.data - b.data, (a, b), bw)
+
+
+def matmul(a, b):
+    """Matrix product of two matrices."""
+    a_d, b_d = a.data, b.data
+    if a_d.ndim != 2 or b_d.ndim != 2 or a_d.shape[1] != b_d.shape[0]:
+        raise DimensionError(f"matmul {a_d.shape} x {b_d.shape}")
+
+    def bw(g):
+        return g @ b_d.T, a_d.T @ g
+
+    return ad._emit(a_d @ b_d, (a, b), bw)
+
+
+def sigmoid(x):
+    """Logistic function, from exp(-|x|) so that no input overflows."""
+    xd = x.data
+    e = np.exp(-np.abs(xd))
+    out = np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    def bw(g):
+        return (g * out * (1.0 - out),)
+
+    return ad._emit(out, (x,), bw)
+
+
+# ---------------------------------------------------------------------------
 # the per-sentence model
 
 
 def lstm_cell(p, x, h, c):
-    """One LSTM transition of [1, ·] rows: gates W_x x + W_h h + b in [i, f, g, o] order."""
+    """One LSTM transition of [k, ·] rows: gates W_x x + W_h h + b in [i, f, g, o] order.
+
+    Sixteen tape nodes, one per sum, slice, activation and product.
+    """
     H = p.hidden_dim
-    z = ad.add(ad.add(ad.affine_rows(x, p.W_x), ad.affine_rows(h, p.W_h)), p.b)
-    i = ad.sigmoid(ad.narrow(z, 0, H))
-    f = ad.sigmoid(ad.narrow(z, H, 2 * H))
+    z = add(add(ad.affine_rows(x, p.W_x), ad.affine_rows(h, p.W_h)), p.b)
+    i = sigmoid(ad.narrow(z, 0, H))
+    f = sigmoid(ad.narrow(z, H, 2 * H))
     g = ad.tanh(ad.narrow(z, 2 * H, 3 * H))
-    o = ad.sigmoid(ad.narrow(z, 3 * H, 4 * H))
-    c = ad.add(ad.mul(f, c), ad.mul(i, g))
+    o = sigmoid(ad.narrow(z, 3 * H, 4 * H))
+    c = add(ad.mul(f, c), ad.mul(i, g))
     return ad.mul(o, ad.tanh(c)), c
 
 
@@ -300,12 +357,12 @@ def nse_encode(p, emb):
     for t in range(S):
         read_h, read_c = lstm_cell(p.read, ad.take_rows(emb, [t]), read_h, read_c)
         weights = ad.softmax_rows(ad.affine_rows(read_h, memory))
-        summary = ad.matmul(weights, memory)
+        summary = matmul(weights, memory)
         hidden = ad.tanh(ad.affine_rows(ad.concat(read_h, summary), p.compose.W1, p.compose.b1))
         composed = ad.affine_rows(hidden, p.compose.W2, p.compose.b2)
         write_h, write_c = lstm_cell(p.write, composed, write_h, write_c)
-        step = ad.sub(ad.reshape(write_h, (D,)), memory)
-        memory = ad.add(memory, ad.mul(ad.reshape(weights, (S, 1)), step))
+        step = sub(ad.reshape(write_h, (D,)), memory)
+        memory = add(memory, ad.mul(ad.reshape(weights, (S, 1)), step))
         outputs.append(write_h)
         slot_weights.append(weights.data[0])
     return ad.stack_rows(outputs), write_h, write_c, slot_weights
@@ -328,7 +385,7 @@ def teacher_logits(model, states, final_h, final_c, decoder_input_ids):
     for token in decoder_input_ids:
         y = ad.take_rows(model.tgt_embed.E, [token])
         alpha = ad.softmax_rows(ad.affine_rows(h2, states))
-        context = ad.matmul(alpha, states)
+        context = matmul(alpha, states)
         h1, c1 = lstm_cell(p.layer1, ad.concat(y, context), h1, c1)
         h2, c2 = lstm_cell(p.layer2, h1, h2, c2)
         rows.append(ad.affine_rows(ad.concat(h2, context), p.out_w, p.out_b))

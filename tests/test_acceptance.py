@@ -73,23 +73,23 @@ def _op_checks():
         checks.append((name, params, fn))
 
     x, y, w = uni(3, 4), uni(3, 4), pos(3, 4)
-    check("add same-shape", [x, y], lambda x=x, y=y, w=w: ws(ad.add(x, y), w))
+    check("add same-shape", [x, y], lambda x=x, y=y, w=w: ws(oracles.add(x, y), w))
     x, v, w = uni(3, 4), uni(4), pos(3, 4)
-    check("add row-broadcast", [x, v], lambda x=x, v=v, w=w: ws(ad.add(x, v), w))
+    check("add row-broadcast", [x, v], lambda x=x, v=v, w=w: ws(oracles.add(x, v), w))
     x, y, w = uni(3, 4), uni(3, 4), pos(3, 4)
-    check("sub same-shape", [x, y], lambda x=x, y=y, w=w: ws(ad.sub(x, y), w))
+    check("sub same-shape", [x, y], lambda x=x, y=y, w=w: ws(oracles.sub(x, y), w))
     x, c, w = uni(3, 4), uni(3, 1), pos(3, 4)
-    check("sub col-broadcast", [x, c], lambda x=x, c=c, w=w: ws(ad.sub(x, c), w))
+    check("sub col-broadcast", [x, c], lambda x=x, c=c, w=w: ws(oracles.sub(x, c), w))
     x, y, w = uni(3, 4), uni(3, 4), pos(3, 4)
     check("mul same-shape", [x, y], lambda x=x, y=y, w=w: ws(ad.mul(x, y), w))
     x, v, w = uni(3, 4), uni(4), pos(3, 4)
     check("mul row-broadcast", [x, v], lambda x=x, v=v, w=w: ws(ad.mul(x, v), w))
 
     a, b, w = uni(3, 4), uni(4, 5), pos(3, 5)
-    check("matmul mat-mat", [a, b], lambda a=a, b=b, w=w: ws(ad.matmul(a, b), w))
+    check("matmul mat-mat", [a, b], lambda a=a, b=b, w=w: ws(oracles.matmul(a, b), w))
 
     x, w = uni(3, 4), pos(3, 4)
-    check("sigmoid", [x], lambda x=x, w=w: ws(ad.sigmoid(x), w))
+    check("sigmoid", [x], lambda x=x, w=w: ws(oracles.sigmoid(x), w))
     check("tanh", [x], lambda x=x, w=w: ws(ad.tanh(x), w))
     x, w = uni(3, 5), pos(3, 5)
     check("softmax rows", [x], lambda x=x, w=w: ws(ad.softmax_rows(x), w))
@@ -138,7 +138,7 @@ def _op_checks():
     w1, w2 = pos(1, 3), pos(1, 3)
     def lstm_fn(cell=cell, x=x, h=h, c=c, w1=w1, w2=w2):
         h2, c2 = layers.lstm_step(cell, x, h, c)
-        return ad.add(ws(h2, w1), ws(c2, w2))
+        return oracles.add(ws(h2, w1), ws(c2, w2))
     check(
         "lstm step",
         [t for _, t in cell.named_params("cell")] + [x, h, c],
@@ -164,7 +164,7 @@ def _op_checks():
     w1, w2 = pos(1, 4), pos(1, 3)
     def retrieve_fn(mem=mem, read_h=read_h, w1=w1, w2=w2):
         weights, summary = memory_retrieve(read_h, mem)
-        return ad.add(ws(weights, w1), ws(summary, w2))
+        return oracles.add(ws(weights, w1), ws(summary, w2))
     check("memory read", [mem, read_h], retrieve_fn)
     mem, wts, wr = uni(4, 3), pos(1, 4), uni(1, 3)
     w = pos(4, 3)
@@ -178,7 +178,7 @@ def _op_checks():
     w1, w2 = pos(2, 3), pos(2, 3)
     def batched_retrieve_fn(mem=mem, read_h=read_h, keep=keep, w1=w1, w2=w2):
         weights, summary = memory_retrieve(read_h, mem, keep)
-        return ad.add(ws(weights, w1), ws(summary, w2))
+        return oracles.add(ws(weights, w1), ws(summary, w2))
     check("memory read, two sentences", [mem, read_h], batched_retrieve_fn)
     mem, wts, wr = uni(6, 3), pos(2, 3), uni(2, 3)
     w = pos(6, 3)
@@ -195,6 +195,27 @@ def _op_checks():
         [x],
         lambda x=x, w=w, keep=keep: ws(ad.softmax_rows(x, keep), w),
     )
+
+    # the fused ops on their own, not only through the layers that call them
+    x, W, b, w = uni(3, 4), uni(5, 4), uni(5), pos(3, 5)
+    check("affine rows", [x, W, b], lambda x=x, W=W, b=b, w=w: ws(ad.affine_rows(x, W, b), w))
+    check("affine rows, no bias", [x, W], lambda x=x, W=W, w=w: ws(ad.affine_rows(x, W), w))
+    wx, h, c, W, b, w = uni(2, 12), uni(2, 3), uni(2, 3), uni(12, 3), uni(12), pos(2, 6)
+    check(
+        "lstm cell, two rows",
+        [wx, h, c, W, b],
+        lambda wx=wx, h=h, c=c, W=W, b=b, w=w: ws(ad.lstm_cell(wx, h, c, W, b), w),
+    )
+    def lstm_cell_made_weight_fn(wx=wx, h=h, c=c, W=W, b=b, w=w):
+        return ws(ad.lstm_cell(wx, h, c, ad.scale(W, 2.0), b), w)
+    check("lstm cell, weight made by an op", [W], lstm_cell_made_weight_fn)
+    # two sequences of three steps, time-major, with four query rows
+    q, m, w = uni(4, 3), uni(6, 3), pos(4, 3)
+    check("sequence scores", [q, m], lambda q=q, m=m, w=w: ws(ad.seq_scores(q, m, 2), w))
+    a, m, w = uni(4, 3), uni(6, 3), pos(4, 3)
+    check("sequence mix", [a, m], lambda a=a, m=m, w=w: ws(ad.seq_mix(a, m, 2), w))
+    m, s, wr, w = uni(6, 3), uni(2, 3), uni(2, 3), pos(6, 3)
+    check("blend rows", [m, s, wr], lambda m=m, s=s, wr=wr, w=w: ws(ad.blend_rows(m, s, wr), w))
     return checks
 
 
@@ -311,7 +332,7 @@ class TestMemoryAlgebra:
             dim = int(rng.integers(2, 6))
             memory = Tensor(rng.normal(size=(slots, dim)))
             uniform = Tensor(np.full((1, slots), 1.0 / slots))
-            summary = ad.matmul(uniform, memory).data
+            summary = oracles.matmul(uniform, memory).data
             assert np.allclose(summary[0], memory.data.mean(axis=0), atol=1e-12)
 
 

