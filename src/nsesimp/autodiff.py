@@ -17,18 +17,11 @@ sequences step together as [k, n] rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    InvalidCheckError,
-    NumericError,
-    UsageError,
-)
+from .errors import ConfigError, DimensionError, NumericError, UsageError
 
 Array = np.ndarray
 
@@ -160,9 +153,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     Repeated calls without zeroing accumulate.  Tensors with
-    ``requires_grad=False`` are skipped silently.  A trainable weight's
-    per-step outer products and a trainable table's gathered rows are
-    collected during the sweep and added to its ``grad`` once, at the end.
+    ``requires_grad=False`` are skipped silently.  A weight's per-step
+    outer products and a table's gathered rows are collected during the
+    sweep: a tensor made by an op gets their sum when the sweep reaches its
+    node, a trainable leaf gets it added to its ``grad`` once, at the end,
+    and a constant leaf's are dropped.
     """
     if loss.shape != ():
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -257,11 +252,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def affine_rows(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     """Row-wise affine map: out[t] = W x[t] + b for x [T, I], W [O, I], b [O].
 
-    With ``b=None`` it is the plain product x Wᵀ.  A trainable W's gradient
-    is kept as the row blocks (g, x), so :func:`backward` sums the uses of a
-    weight at every step of a recurrence with one Gᵀ·X product.  A one-row
-    x gives the same bits as the matrix-vector product ``W @ x[0]``: numpy
-    hands both to the same BLAS call.
+    With ``b=None`` it is the plain product x Wᵀ.  W's gradient is kept as
+    the row blocks (g, x), so :func:`backward` sums the uses of a weight at
+    every step of a recurrence with one Gᵀ·X product.  A one-row x gives
+    the same bits as the matrix-vector product ``W @ x[0]``: numpy hands
+    both to the same BLAS call.
     """
     xd, Wd = x.data, W.data
     bsh = None if b is None else b.shape
@@ -274,7 +269,7 @@ def affine_rows(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
         raise DimensionError(f"affine_rows x{xd.shape}, W{Wd.shape}, b{bsh}")
 
     def bw(g):
-        grads = (g @ Wd, _Outer(g, xd) if W.requires_grad else g.T @ xd)
+        grads = (g @ Wd, _Outer(g, xd))
         return grads if b is None else grads + (g.sum(axis=0),)
 
     if b is None:
@@ -355,8 +350,8 @@ def lstm_cell(wx: Tensor, h_prev: Tensor, c_prev: Tensor, W_h: Tensor, b: Tensor
     would round it, in the same order, so [h | c] is theirs bit for bit.
     The tape keeps the gates, tanh(c) and the output.  The backward is
     written out by hand and rounds as those ops' rules do, so the gradients
-    are theirs bit for bit too; a trainable W_h's gradient is kept as row
-    blocks, as in :func:`affine_rows`.
+    are theirs bit for bit too; W_h's gradient is kept as row blocks, as in
+    :func:`affine_rows`.
     """
     wxd, hd, cd, Wd, bd = wx.data, h_prev.data, c_prev.data, W_h.data, b.data
     if not (
@@ -404,7 +399,7 @@ def lstm_cell(wx: Tensor, h_prev: Tensor, c_prev: Tensor, W_h: Tensor, b: Tensor
             dz,
             dz @ Wd,
             dc * f,
-            _Outer(dz, hd) if W_h.requires_grad else dz.T @ hd,
+            _Outer(dz, hd),
             dz.sum(axis=0),
         )
 
@@ -642,12 +637,18 @@ def blend_rows(m: Tensor, s: Tensor, w: Tensor) -> Tensor:
 # dropout
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scale survivors by 1/(1-rate); identity at inference."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: scale survivors by 1/(1-rate).
+
+    A rate of 0 returns ``x`` itself and records nothing; a positive rate
+    draws its mask from ``rng``, which must then be given.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate {rate} outside [0, 1)")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
+    if rng is None:
+        raise UsageError(f"dropout at rate {rate} needs a generator")
     keep = rng.random(x.shape) >= rate
     factor = 1.0 / (1.0 - rate)
     mask = keep * factor
@@ -656,81 +657,3 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
         return (g * mask,)
 
     return _emit(x.data * mask, (x,), bw)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass
-class GradCheckReport:
-    """Max relative finite-difference error per checked parameter."""
-
-    max_errors: list[float]
-    names: list[str]
-    tol: float
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def max_error(self) -> float:
-        return max(self.max_errors) if self.max_errors else 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    eps: float = 1e-5,
-    tol: float = 1e-4,
-    names: Sequence[str] | None = None,
-    scale_floor: float = 1e-3,
-) -> GradCheckReport:
-    """Compare analytic gradients of ``f`` against central finite differences.
-
-    ``f`` must be deterministic (fixed seeds, dropout off); this is verified
-    by evaluating it twice and requiring bit-identical values.  The relative
-    error divides by max(|analytic|, |numeric|, scale_floor) so that
-    near-zero gradients are judged on an absolute scale.
-    """
-    if names is None:
-        names = [f"param{i}" for i in range(len(params))]
-    v1 = float(f().data)
-    v2 = float(f().data)
-    if v1 != v2:
-        raise InvalidCheckError("function is not deterministic; cannot grad-check")
-
-    saved = [p.grad for p in params]
-    for p in params:
-        p.grad = None
-    with Tape() as tape:
-        loss = f()
-    backward(loss, tape)
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
-    for p, g in zip(params, saved):
-        p.grad = g
-
-    max_errors = []
-    failures = []
-    for p, name, a in zip(params, names, analytic):
-        flat = p.data.reshape(-1)
-        worst = 0.0
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            up = float(f().data)
-            flat[j] = orig - eps
-            down = float(f().data)
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * eps)
-            aj = float(a.reshape(-1)[j])
-            denom = max(abs(aj), abs(numeric), scale_floor)
-            worst = max(worst, abs(aj - numeric) / denom)
-        max_errors.append(worst)
-        if worst > tol:
-            failures.append(name)
-    return GradCheckReport(max_errors=max_errors, names=list(names), tol=tol, failures=failures)

@@ -30,6 +30,7 @@ from .data import (
     load_parallel,
     load_pretrained_embeddings,
     load_references,
+    read_lines,
 )
 from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
 from .model import ENCODER_KINDS, DecodeSession
@@ -70,9 +71,8 @@ def _err(message: str) -> None:
 def parse_config_file(path) -> dict:
     """Read ``key=value`` lines; ``#`` comments and blank lines ignored."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw_lines = f.read().splitlines()
-    except OSError as e:
+        raw_lines = read_lines(path)
+    except (OSError, DataError) as e:
         raise ConfigError(f"cannot read config file: {e}") from e
     out = {}
     for lineno, raw in enumerate(raw_lines, 1):
@@ -158,10 +158,12 @@ def _read_checkpoint(path):
 
 def _read_lines(path):
     if path is None:
-        return sys.stdin.read().splitlines()
+        try:
+            return sys.stdin.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise DataError("standard input is not UTF-8 text") from e
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read().splitlines()
+        return read_lines(path)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
 
@@ -176,31 +178,12 @@ def cmd_train(ns) -> int:
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    encoder = ns.encoder or file_map.get("encoder_kind") or "lstm"
-    if ns.preset:
-        config = preset_config(ns.preset, encoder)
-    else:
-        config = TrainConfig(encoder_kind=encoder)
-    config = apply_config_overrides(
-        config, {k: v for k, v in file_map.items() if k in CONFIG_KEYS}
-    )
-    flag_map = {
-        "encoder_kind": ns.encoder,
-        "dim": ns.dim,
-        "vocab_size": ns.vocab_size,
-        "lr": ns.lr,
-        "batch_size": ns.batch_size,
-        "dropout": ns.dropout,
-        "max_epochs": ns.epochs,
-        "tune_metric": ns.tune_metric,
-        "sari_bleu_threshold": ns.sari_bleu_threshold,
-        "seed": ns.seed,
-        "max_sentence_length": ns.max_sentence_length,
-        "bucket": True if ns.bucket else None,
-    }
-    config = apply_config_overrides(
-        config, {k: v for k, v in flag_map.items() if v is not None}
-    )
+    # preset, then file, then flags: each flag's dest is its config key
+    config = preset_config(ns.preset) if ns.preset else TrainConfig()
+    for source in (file_map, vars(ns)):
+        config = apply_config_overrides(
+            config, {k: v for k, v in source.items() if k in CONFIG_KEYS and v is not None}
+        )
     config.validate()
 
     paths = {k: file_map.get(k) for k in PATH_KEYS}
@@ -415,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model and write checkpoints")
     p_train.add_argument("--config", help="key=value config file")
     p_train.add_argument("--preset", choices=sorted(PRESETS))
-    p_train.add_argument("--encoder", choices=ENCODER_KINDS)
+    p_train.add_argument("--encoder", dest="encoder_kind", choices=ENCODER_KINDS)
     p_train.add_argument("--train-src", dest="train_src")
     p_train.add_argument("--train-tgt", dest="train_tgt")
     p_train.add_argument("--dev-src", dest="dev_src")
@@ -427,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float)
     p_train.add_argument("--batch-size", type=int)
     p_train.add_argument("--dropout", type=float)
-    p_train.add_argument("--epochs", type=int, help="maximum number of epochs")
+    p_train.add_argument(
+        "--epochs", dest="max_epochs", type=int, metavar="EPOCHS", help="maximum number of epochs"
+    )
     p_train.add_argument("--tune-metric", choices=("bleu", "sari"))
     p_train.add_argument("--sari-bleu-threshold", type=float)
     p_train.add_argument("--seed", type=int)

@@ -8,6 +8,7 @@ markers, counted inside the configured size cap.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -106,6 +107,15 @@ class ParallelCorpus:
         return [tgt for _, tgt in self.pairs]
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes raise :class:`DataError`."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path} is not UTF-8 text (byte {e.start})") from e
+
+
 def load_parallel(src_path, tgt_path, max_len: int | None = None) -> ParallelCorpus:
     """Read two line-parallel files into token pairs.
 
@@ -113,10 +123,8 @@ def load_parallel(src_path, tgt_path, max_len: int | None = None) -> ParallelCor
     pairs where either side exceeds it are dropped too (counted apart).
     Mismatched line counts raise :class:`DataError`.
     """
-    with open(src_path, encoding="utf-8") as f:
-        src_lines = f.read().splitlines()
-    with open(tgt_path, encoding="utf-8") as f:
-        tgt_lines = f.read().splitlines()
+    src_lines = read_lines(src_path)
+    tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise DataError(
             f"line count mismatch: {src_path} has {len(src_lines)} lines, "
@@ -147,8 +155,7 @@ def load_references(paths: Sequence, expected: int) -> list[list[list[str]]]:
         raise DataError("at least one reference file is required")
     per_file = []
     for path in paths:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+        lines = read_lines(path)
         if len(lines) != expected:
             raise DataError(
                 f"reference file {path} has {len(lines)} lines, expected {expected}"
@@ -166,14 +173,19 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, dim: int, rng: np.random
 
     File lines are "token v1 ... v_dim".  Returns ``(table, hit_rate)``
     where hit_rate is the covered fraction of non-reserved vocabulary
-    entries.  A wrong vector width raises :class:`FormatError` naming the
-    offending line.
+    entries.  A wrong vector width, a value of a vocabulary token's row that
+    is not a finite number, or bytes that are not UTF-8 raise
+    :class:`FormatError` naming the offending line.
     """
     table = layers.EmbeddingTable.create(vocab.size, dim, rng)
     hits = 0
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
+    # read as bytes, so a line that is not UTF-8 is known by its number
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                parts = raw.decode("utf-8").split()
+            except UnicodeDecodeError as e:
+                raise FormatError(f"embedding line {lineno} is not UTF-8 text") from e
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
@@ -184,7 +196,13 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, dim: int, rng: np.random
             i = vocab.token_to_id.get(token)
             if i is None or i < 4:
                 continue
-            table.E.data[i] = [float(v) for v in values]
+            try:
+                row = [float(v) for v in values]
+            except ValueError as e:
+                raise FormatError(f"embedding line {lineno}: {e}") from e
+            if not all(map(math.isfinite, row)):
+                raise FormatError(f"embedding line {lineno} has a value that is not finite")
+            table.E.data[i] = row
             hits += 1
     denom = max(vocab.size - 4, 1)
     return table, hits / denom

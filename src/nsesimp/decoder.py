@@ -137,7 +137,6 @@ def decoder_recurrence(
     y_prev_embedding: Tensor,
     states: Tensor,
     dropout_rate: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     batch: int = 1,
     mask: np.ndarray | None = None,
@@ -147,37 +146,23 @@ def decoder_recurrence(
     ``feature`` is [top state; context], the input of the output layer; the
     step takes one embedding row per state row and gives one feature row
     each.  ``batch`` and ``mask`` are those of :func:`attend`.
-    Dropout (training only) applies to the token embedding and between the
-    two layers, drawing from ``rng`` in that order.
+    Dropout at ``dropout_rate`` (none at 0) applies to the token embedding
+    and between the two layers, drawing from ``rng`` in that order.
     """
     alpha, context = attend(state.h2, states, batch, mask)
-    y = y_prev_embedding
-    if training and dropout_rate > 0.0:
-        y = ad.dropout(y, dropout_rate, training, rng)
+    y = ad.dropout(y_prev_embedding, dropout_rate, rng)
     h1, c1 = layers.lstm_step(p.layer1, ad.concat(y, context), state.h1, state.c1)
-    mid = h1
-    if training and dropout_rate > 0.0:
-        mid = ad.dropout(mid, dropout_rate, training, rng)
+    mid = ad.dropout(h1, dropout_rate, rng)
     h2, c2 = layers.lstm_step(p.layer2, mid, state.h2, state.c2)
     new_state = DecoderState(h1=h1, c1=c1, h2=h2, c2=c2, prev_token=state.prev_token)
     return new_state, alpha, ad.concat(h2, context)
 
 
-def decoder_step(
-    p: DecoderParams,
-    state: DecoderState,
-    y_prev_embedding: Tensor,
-    states: Tensor,
-    dropout_rate: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-):
+def decoder_step(p: DecoderParams, state: DecoderState, y_prev_embedding: Tensor, states: Tensor):
     """One decoding transition; returns (new_state, alpha, logits).
 
     The caller chooses the emitted token from the logits; they are [k, V],
     one row per state row, made by one product with the output weights.
     """
-    new_state, alpha, feature = decoder_recurrence(
-        p, state, y_prev_embedding, states, dropout_rate, training, rng
-    )
+    new_state, alpha, feature = decoder_recurrence(p, state, y_prev_embedding, states)
     return new_state, alpha, layers.linear(p.out_w, p.out_b, feature)

@@ -136,7 +136,6 @@ def lstm_encode(
     p: LstmEncoderParams,
     embeddings: Tensor,
     dropout_rate: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     lengths=None,
 ) -> EncoderOutput:
@@ -144,14 +143,13 @@ def lstm_encode(
 
     ``lengths`` gives the B sentence lengths of a time-major batch; None is
     one sentence.  Layer 2 runs after layer 1 has finished, so both input
-    projections are hoisted.  Dropout (training only) is applied to the
-    layer-1 outputs feeding layer 2, never inside the recurrence.
+    projections are hoisted.  Dropout at ``dropout_rate`` (none at 0) is
+    applied to the layer-1 outputs feeding layer 2, never inside the
+    recurrence.
     """
     layout = _layout(embeddings, lengths)
     h1s, _ = _lstm_layer(p.layer1, embeddings, layout)
-    mid = ad.stack_rows(h1s)
-    if training and dropout_rate > 0.0:
-        mid = ad.dropout(mid, dropout_rate, training, rng)
+    mid = ad.dropout(ad.stack_rows(h1s), dropout_rate, rng)
     h2s, c2s = _lstm_layer(p.layer2, mid, layout)
     return EncoderOutput(
         states=ad.stack_rows(h2s),
@@ -261,7 +259,6 @@ def nse_encode(
     p: NseEncoderParams,
     embeddings: Tensor,
     dropout_rate: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     lengths=None,
 ) -> EncoderOutput:
@@ -269,16 +266,13 @@ def nse_encode(
 
     ``lengths`` gives the B sentence lengths of a time-major batch; None is
     one sentence.  The memory starts as the embedding matrix itself, one
-    stacked [S·B, D] memory for the batch.  Dropout (training only) touches
-    the read-LSTM inputs and the emitted state rows; the memory and the
-    recurrent paths stay clean.  The per-step memory attention is returned
-    for inspection.
+    stacked [S·B, D] memory for the batch.  Dropout at ``dropout_rate``
+    (none at 0) touches the read-LSTM inputs and the emitted state rows;
+    the memory and the recurrent paths stay clean.  The per-step memory
+    attention is returned for inspection.
     """
     layout = _layout(embeddings, lengths)
-    x = embeddings
-    if training and dropout_rate > 0.0:
-        x = ad.dropout(x, dropout_rate, training, rng)
-    wx = ad.affine_rows(x, p.read.W_x)
+    wx = ad.affine_rows(ad.dropout(embeddings, dropout_rate, rng), p.read.W_x)
     state = nse_initial_state(embeddings, p.read.hidden_dim, layout.batch)
     written_rows, write_cs = [], []
     slot_weights: list[np.ndarray] = []
@@ -287,11 +281,8 @@ def nse_encode(
         written_rows.append(written)
         write_cs.append(state.write_c)
         slot_weights.append(weights.data)
-    states = ad.stack_rows(written_rows)
-    if training and dropout_rate > 0.0:
-        states = ad.dropout(states, dropout_rate, training, rng)
     return EncoderOutput(
-        states=states,
+        states=ad.dropout(ad.stack_rows(written_rows), dropout_rate, rng),
         final_h=layout.at_last_step(written_rows),
         final_c=layout.at_last_step(write_cs),
         mask=layout.mask,

@@ -35,9 +35,5 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-class InvalidCheckError(ValueError):
-    """A gradient check was attempted on a non-deterministic function."""
-
-
 class NumericError(ArithmeticError):
     """An operation produced NaN or Inf."""

@@ -109,7 +109,6 @@ def encode(
     model: Model,
     src_ids,
     dropout_rate: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     lengths=None,
 ) -> EncoderOutput:
@@ -123,8 +122,8 @@ def encode(
         lengths = [ids.shape[1]] * ids.shape[0]
     emb = layers.embed(model.src_embed, ids.T.reshape(-1))
     if model.encoder_kind == "lstm":
-        return lstm_encode(model.encoder, emb, dropout_rate, training, rng, lengths)
-    return nse_encode(model.encoder, emb, dropout_rate, training, rng, lengths)
+        return lstm_encode(model.encoder, emb, dropout_rate, rng, lengths)
+    return nse_encode(model.encoder, emb, dropout_rate, rng, lengths)
 
 
 def teacher_logits(
@@ -132,7 +131,6 @@ def teacher_logits(
     enc: EncoderOutput,
     decoder_input_ids,
     dropout_rate: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Teacher-forced forward pass; returns the time-major [T·B, V] logits.
@@ -155,7 +153,7 @@ def teacher_logits(
     for t in range(T):
         y = ad.take_rows(inputs, np.arange(t * B, (t + 1) * B))
         state, _, feature = decoder_recurrence(
-            p, state, y, enc.states, dropout_rate, training, rng, B, enc.mask
+            p, state, y, enc.states, dropout_rate, rng, B, enc.mask
         )
         features.append(feature)
     return layers.linear(p.out_w, p.out_b, ad.stack_rows(features))

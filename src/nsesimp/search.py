@@ -1,6 +1,6 @@
-"""Greedy and beam-search decoding, plus attention-based UNK replacement.
+"""Beam-search decoding, greedy as its width 1, plus attention-based UNK replacement.
 
-Both decoders drive a session object whose state holds k hypotheses as
+The search drives a session object whose state holds k hypotheses as
 rows: ``start() -> state`` (one hypothesis), ``step(state) -> (log_probs
 [k, V], alpha [k, S], core)`` and ``advance(core, rows, tokens) -> state``,
 which keeps the given rows in order, each followed by its token.
@@ -9,8 +9,7 @@ the same functions with synthetic probability tables.
 
 Scores are raw summed log-probabilities (no length normalization unless
 requested).  All tie-breaks are deterministic: token ties resolve to the
-lowest id, candidate ties preserve generation order, and with beam 1 the
-search is bit-identical to greedy decoding.
+lowest id and candidate ties preserve generation order.
 """
 
 from __future__ import annotations
@@ -49,36 +48,17 @@ def _selection_key(hyp: Hypothesis, length_normalize: bool) -> float:
     return hyp.score / max(steps, 1)
 
 
-def greedy_decode(session, max_len: int = 100) -> Hypothesis:
-    """Emit the argmax token each step until the end marker or max_len."""
-    if max_len < 1:
-        raise ConfigError(f"max_len {max_len} must be at least 1")
-    state = session.start()
-    tokens: list[int] = []
-    alphas: list[np.ndarray] = []
-    score = 0.0
-    finished = False
-    for _ in range(max_len):
-        log_probs, alpha, core = session.step(state)
-        token = int(np.argmax(log_probs[0]))
-        score = score + float(log_probs[0, token])
-        if token == EOS_ID:
-            finished = True
-            break
-        tokens.append(token)
-        alphas.append(alpha[0])
-        state = session.advance(core, [0], [token])
-    return Hypothesis(tokens=tuple(tokens), score=score, alphas=tuple(alphas), finished=finished)
-
-
 def _best_tokens(log_probs: np.ndarray, n: int) -> np.ndarray:
     """The ``n`` best ids of each row, best first, ties to the lower id.
 
     Equal to the first ``n`` columns of a stable argsort of ``-log_probs``,
     without sorting whole rows: a partition finds each row's n-th best
     value, and only the ids at or above it (more than ``n`` when ties
-    straddle the cut) are sorted.
+    straddle the cut) are sorted.  For ``n = 1`` it is the argmax, whose
+    first maximum is the lowest id.
     """
+    if n == 1:
+        return np.argmax(log_probs, axis=1)[:, None]
     neg = -log_probs
     cut = np.partition(neg, n - 1, axis=1)[:, n - 1]
     out = np.empty((neg.shape[0], n), dtype=np.intp)
@@ -134,6 +114,15 @@ def beam_decode(
         state = session.advance(core, rows, [h.tokens[-1] for h in live])
     pool = finished if finished else live
     return max(pool, key=lambda h: _selection_key(h, length_normalize))
+
+
+def greedy_decode(session, max_len: int = 100) -> Hypothesis:
+    """Emit the argmax token each step until the end marker or max_len.
+
+    This is beam search of width 1: one live hypothesis, whose best token
+    either ends it or extends it.
+    """
+    return beam_decode(session, 1, max_len)
 
 
 def replace_unks(hyp: Hypothesis, source_tokens, vocab: Vocabulary) -> list[str]:

@@ -58,7 +58,6 @@ def batch_loss(
     model: Model,
     batch: Batch,
     dropout_rate: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Teacher-forced loss of a padded batch, as one graph.
@@ -66,14 +65,15 @@ def batch_loss(
     The sum of every real target token's negative log-likelihood, divided
     by the batch's real-token count.  Source and decoder-input ids past a
     sentence's end are never read into a real position, so they change
-    neither the loss nor its gradients.
+    neither the loss nor its gradients.  Dropout applies at
+    ``dropout_rate`` (none at 0), drawing from ``rng``.
     """
     lengths = batch.src_mask.sum(axis=1).astype(np.intp)
-    enc = encode(model, batch.src, dropout_rate, training, rng, lengths)
+    enc = encode(model, batch.src, dropout_rate, rng, lengths)
     dec_in = np.concatenate(
         [np.full((batch.size, 1), BOS_ID), batch.tgt_out[:, :-1]], axis=1
     )
-    logits = teacher_logits(model, enc, dec_in, dropout_rate, training, rng)
+    logits = teacher_logits(model, enc, dec_in, dropout_rate, rng)
     # time-major, like the logits: row t·B + b is target t of sentence b
     return xent_loss(logits, batch.tgt_out.T.reshape(-1))
 
@@ -89,9 +89,11 @@ def sentence_loss(
     """Teacher-forced mean token loss for one (source, target) id pair.
 
     ``tgt_ids`` is the bare target; begin/end wrapping happens here.  This
-    is :func:`batch_loss` of a batch of one.
+    is :func:`batch_loss` of a batch of one, with dropout only when
+    ``training`` is set.
     """
-    return batch_loss(model, Batch.from_ids([(src_ids, tgt_ids)]), dropout_rate, training, rng)
+    rate = dropout_rate if training else 0.0
+    return batch_loss(model, Batch.from_ids([(src_ids, tgt_ids)]), rate, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +667,7 @@ def train(
                 try:
                     model.zero_grads()
                     with Tape() as tape:
-                        loss = batch_loss(model, batch, config.dropout, True, dropout_rng)
+                        loss = batch_loss(model, batch, config.dropout, dropout_rng)
                     backward(loss, tape)
                     batch_tokens = int(batch.tgt_mask.sum())
                     total_nll += loss.item() * batch_tokens

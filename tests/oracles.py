@@ -19,13 +19,93 @@ LSTM cell is the unfused one, sixteen tape nodes per step, that
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from nsesimp import autodiff as ad
-from nsesimp.autodiff import Tensor
+from nsesimp.autodiff import Tape, Tensor, backward
 from nsesimp.data import BOS_ID, EOS_ID
 from nsesimp.errors import DimensionError
+
+
+# ---------------------------------------------------------------------------
+# gradient checking
+
+
+class InvalidCheckError(ValueError):
+    """A gradient check was attempted on a non-deterministic function."""
+
+
+@dataclass
+class GradCheckReport:
+    """Max relative finite-difference error per checked parameter."""
+
+    max_errors: list[float]
+    names: list[str]
+    tol: float
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def max_error(self) -> float:
+        return max(self.max_errors) if self.max_errors else 0.0
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def grad_check(f, params, eps=1e-5, tol=1e-4, names=None, scale_floor=1e-3):
+    """Compare the tape's gradients of ``f`` against central finite differences.
+
+    ``f`` must be deterministic (fixed seeds, dropout off); this is verified
+    by evaluating it twice and requiring bit-identical values.  The relative
+    error divides by max(|analytic|, |numeric|, scale_floor) so that
+    near-zero gradients are judged on an absolute scale.
+    """
+    if names is None:
+        names = [f"param{i}" for i in range(len(params))]
+    v1 = float(f().data)
+    v2 = float(f().data)
+    if v1 != v2:
+        raise InvalidCheckError("function is not deterministic; cannot grad-check")
+
+    saved = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        loss = f()
+    backward(loss, tape)
+    analytic = [
+        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
+    ]
+    for p, g in zip(params, saved):
+        p.grad = g
+
+    max_errors = []
+    failures = []
+    for p, name, a in zip(params, names, analytic):
+        flat = p.data.reshape(-1)
+        worst = 0.0
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + eps
+            up = float(f().data)
+            flat[j] = orig - eps
+            down = float(f().data)
+            flat[j] = orig
+            numeric = (up - down) / (2.0 * eps)
+            aj = float(a.reshape(-1)[j])
+            denom = max(abs(aj), abs(numeric), scale_floor)
+            worst = max(worst, abs(aj - numeric) / denom)
+        max_errors.append(worst)
+        if worst > tol:
+            failures.append(name)
+    return GradCheckReport(max_errors=max_errors, names=list(names), tol=tol, failures=failures)
+
+
+# ---------------------------------------------------------------------------
+# n-grams
 
 
 def lower(tokens):

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import toy_tasks
-from nsesimp.cli import apply_config_overrides, build_parser, echo_config, main, parse_config_file
+from nsesimp.cli import (
+    CONFIG_KEYS,
+    PATH_KEYS,
+    apply_config_overrides,
+    build_parser,
+    echo_config,
+    main,
+    parse_config_file,
+)
 from nsesimp.model import ENCODER_KINDS, DecodeSession, build_model
 from nsesimp.search import greedy_decode, replace_unks
 from nsesimp.training import (
@@ -129,14 +137,25 @@ def test_echoed_config_parses_back_to_the_same_config(tmp_path, capsys):
     assert apply_config_overrides(TrainConfig(), parse_config_file(conf)) == config
 
 
-def _train_option(dest):
+def _train_actions():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in sub.choices["train"]._actions if a.dest == dest)
+    return sub.choices["train"]._actions
+
+
+def _train_option(dest):
+    return next(a for a in _train_actions() if a.dest == dest)
 
 
 def test_encoder_and_preset_choices_come_from_their_single_lists():
-    assert tuple(_train_option("encoder").choices) == ENCODER_KINDS
+    assert tuple(_train_option("encoder_kind").choices) == ENCODER_KINDS
     assert list(_train_option("preset").choices) == sorted(PRESETS)
+
+
+def test_every_train_flag_is_named_after_what_it_sets():
+    # train applies a flag to the config through its dest alone
+    dests = {a.dest for a in _train_actions()} - {"help", "config", "preset"}
+    assert dests - set(PATH_KEYS) <= CONFIG_KEYS
+    assert {"encoder_kind", "max_epochs", "bucket"} <= dests
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +331,38 @@ def test_train_missing_file_exits_3(tmp_path, corpus_files, capsys):
     assert "nope.src" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0.5x", "nan", "inf"])
+def test_train_bad_embeddings_value_exits_3(tmp_path, corpus_files, capsys, value):
+    vectors = _write(tmp_path / "vec.txt", ["w00 " + " ".join(["0.5"] * 6),
+                                            "w01 " + " ".join(["0.5"] * 5 + [value])])
+    args = _train_args(corpus_files, tmp_path / "run", ["--dim", "6", "--epochs", "1"])
+    code = main(args + ["--embeddings", vectors])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: embeddings: embedding line 2" in err
+    assert not (tmp_path / "run").exists()
+
+
+NOT_UTF8 = b"w00 w01\n\xff\xfe w02\n"
+
+
+def test_train_corpus_not_utf8_exits_3(tmp_path, corpus_files, capsys):
+    bad = tmp_path / "train.src"
+    bad.write_bytes(NOT_UTF8)
+    args = _train_args(corpus_files, tmp_path / "run", ["--epochs", "1"])
+    args[args.index("--train-src") + 1] = str(bad)
+    code = main(args)
+    assert code == 3
+    assert f"error: {bad} is not UTF-8 text (byte 8)" in capsys.readouterr().err
+
+
+def test_train_config_not_utf8_exits_2(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_bytes(b"dim=6\nseed=\xff\n")
+    assert main(["train", "--config", str(conf)]) == 2
+    assert f"{conf} is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_train_missing_required_paths_exits_2(capsys):
     assert main(["train", "--dim", "6"]) == 2
     assert "missing required path" in capsys.readouterr().err
@@ -359,6 +410,17 @@ def test_simplify_empty_input_is_empty_output(tmp_path, saved_models, capsys, mo
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == ""
+
+
+def test_simplify_input_not_utf8_exits_3(tmp_path, saved_models, capsys, monkeypatch):
+    bad = tmp_path / "in.txt"
+    bad.write_bytes(NOT_UTF8)
+    code = main(["simplify", "--checkpoint", saved_models["lstm"], "--input", str(bad)])
+    assert code == 3
+    assert f"error: {bad} is not UTF-8 text" in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    assert main(["simplify", "--checkpoint", saved_models["lstm"]]) == 3
+    assert "error: standard input is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_simplify_missing_checkpoint_exits_4(tmp_path):
@@ -445,6 +507,19 @@ def test_evaluate_misaligned_references_exit_3(tmp_path, saved_models, capsys):
          "--refs", ref, "--beams", "1"]
     )
     assert code == 3
+
+
+def test_evaluate_files_not_utf8_exit_3(tmp_path, saved_models, capsys):
+    good = _write(tmp_path / "t.src", ["w00 w01", "w02 w03"])
+    bad = tmp_path / "t.bad"
+    bad.write_bytes(NOT_UTF8)
+    for src, ref in ((good, str(bad)), (str(bad), good)):
+        code = main(
+            ["evaluate", "--checkpoint", saved_models["lstm"], "--src", src,
+             "--refs", ref, "--beams", "1"]
+        )
+        assert code == 3
+        assert f"error: {bad} is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_evaluate_bad_beam_list_exits_2(tmp_path, saved_models):

@@ -148,6 +148,30 @@ class TestPretrainedEmbeddings:
             load_pretrained_embeddings(p, vocab, 3, np.random.default_rng(0))
 
 
+    @pytest.mark.parametrize("value", ["1.0x", "nan", "-inf"])
+    def test_value_that_is_not_a_finite_number_cites_line(self, tmp_path, value):
+        p = tmp_path / "vec.txt"
+        p.write_text(f"a 1.0 2.0 3.0\nb 1.0 {value} 3.0\n", encoding="utf-8")
+        vocab = build_vocab([["a", "b"]], cap=8)
+        with pytest.raises(FormatError, match="line 2"):
+            load_pretrained_embeddings(p, vocab, 3, np.random.default_rng(0))
+
+    def test_bytes_that_are_not_utf8_cite_line(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        p.write_bytes(b"a 1.0 2.0 3.0\n\xff 1.0 2.0 3.0\n")
+        vocab = build_vocab([["a"]], cap=8)
+        with pytest.raises(FormatError, match="line 2"):
+            load_pretrained_embeddings(p, vocab, 3, np.random.default_rng(0))
+
+
+class TestReadLines:
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        p = tmp_path / "corpus.src"
+        p.write_bytes(b"fine line\nsecond \xe9 line\n")
+        with pytest.raises(DataError, match=r"corpus\.src is not UTF-8 text \(byte 17\)"):
+            data.read_lines(p)
+
+
 class TestBatches:
     def corpus(self, n=10):
         pairs = [([f"s{i}", "w"] * (1 + i % 3), [f"t{i}"]) for i in range(n)]

@@ -18,7 +18,14 @@ import oracles
 from nsesimp import autodiff as ad
 from nsesimp import decoder, encoders, layers
 from nsesimp.autodiff import Tensor
-from nsesimp.decoder import DecoderParams, DecoderState, attend, decoder_step, init_decoder
+from nsesimp.decoder import (
+    DecoderParams,
+    DecoderState,
+    attend,
+    decoder_recurrence,
+    decoder_step,
+    init_decoder,
+)
 from nsesimp.errors import DimensionError
 
 
@@ -128,7 +135,7 @@ class TestInitDecoder:
             _, _, logits = decoder_step(p, state, emb, enc.states)
             return log_prob(logits, 1)
 
-        report = ad.grad_check(f, [p.init_h, p.init_c], names=["init_h", "init_c"])
+        report = oracles.grad_check(f, [p.init_h, p.init_c], names=["init_h", "init_c"])
         assert report.ok, report.failures
         assert report.max_error < 1e-4
 
@@ -180,18 +187,19 @@ class TestDecoderStep:
             state = replace(state, prev_token=np.array([target]))
         assert abs(log_total - math.log(prob_total)) < 1e-10
 
-    def test_dropout_only_in_training(self):
+    def test_rate_zero_is_the_identity(self):
         rng = np.random.default_rng(10)
         p = DecoderParams.create(3, 4, 5, rng)
         enc = make_encoder_output(rng, H=4)
         state = init_decoder(p, enc)
         y = Tensor(rng.normal(size=(1, 3)))
-        _, _, a = decoder_step(p, state, y, enc.states, dropout_rate=0.5, training=False)
-        _, _, b = decoder_step(p, state, y, enc.states)
+        _, _, a = decoder_recurrence(
+            p, state, y, enc.states, dropout_rate=0.0, rng=np.random.default_rng(3)
+        )
+        _, _, b = decoder_recurrence(p, state, y, enc.states)
         npt.assert_array_equal(a.data, b.data)
-        _, _, c = decoder_step(
-            p, state, y, enc.states, dropout_rate=0.5, training=True,
-            rng=np.random.default_rng(3),
+        _, _, c = decoder_recurrence(
+            p, state, y, enc.states, dropout_rate=0.5, rng=np.random.default_rng(3)
         )
         assert not np.array_equal(b.data, c.data)
 
@@ -211,7 +219,7 @@ class TestDecoderStep:
 
         params = [t for _, t in p.named_params()] + [emb]
         names = [n for n, _ in p.named_params()] + ["emb"]
-        report = ad.grad_check(f, params, tol=1e-4, names=names)
+        report = oracles.grad_check(f, params, tol=1e-4, names=names)
         assert report.ok, report.failures
 
     def test_vectors_are_rejected(self):

@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from nsesimp import autodiff as ad
 from nsesimp import encoders
 from nsesimp.autodiff import Tensor
@@ -58,15 +59,17 @@ class TestLstmEncoder:
         out = encoders.lstm_encode(p, make_embeddings(rng))
         npt.assert_array_equal(out.states.data[-1:], out.final_h.data)
 
-    def test_dropout_only_in_training(self):
+    def test_rate_zero_is_the_identity(self):
         rng = np.random.default_rng(4)
         p = encoders.LstmEncoderParams.create(3, rng)
         emb = make_embeddings(rng)
-        a = encoders.lstm_encode(p, emb, dropout_rate=0.5, training=False).states.data
+        a = encoders.lstm_encode(
+            p, emb, dropout_rate=0.0, rng=np.random.default_rng(9)
+        ).states.data
         b = encoders.lstm_encode(p, emb).states.data
         npt.assert_array_equal(a, b)
         c = encoders.lstm_encode(
-            p, emb, dropout_rate=0.5, training=True, rng=np.random.default_rng(9)
+            p, emb, dropout_rate=0.5, rng=np.random.default_rng(9)
         ).states.data
         assert not np.array_equal(b, c)
 
@@ -183,7 +186,7 @@ class TestNseEncoder:
 
         params = [t for _, t in p.named_params()] + [emb]
         names = [n for n, _ in p.named_params()] + ["emb"]
-        report = ad.grad_check(f, params, tol=1e-4, names=names)
+        report = oracles.grad_check(f, params, tol=1e-4, names=names)
         assert report.ok, report.failures
 
 

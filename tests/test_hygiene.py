@@ -9,15 +9,29 @@ skipped.
 Every public tape op of ``autodiff`` (a function that calls ``_emit``) has
 its own finite-difference entry in criterion 1: it is called as
 ``ad.<name>(`` inside ``_op_checks``.
+
+Every public top-level function and class of the package, and every public
+method of its classes, is referenced from the package or the benchmark
+outside its own definition, as a name or an attribute, or is a console
+script of ``pyproject.toml``.  Code that only tests reach belongs in the
+tests.
 """
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "nsesimp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "nsesimp").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "nsebench").glob("*.py"))
+
+# Kept without a caller: the optimizer state a resumed run restores
+# (ROADMAP item 1) is read back with it.
+UNREFERENCED_ALLOWED = {"restore_adam"}
 
 
 def imported_names(tree):
@@ -108,3 +122,70 @@ def test_op_scan_finds_an_unchecked_op():
     checks = "def _op_checks():\n    f = lambda: ad.sum_all(ad.mul(x, y))\n"
     assert tape_ops(autodiff) == {"mul", "fused"}
     assert tape_ops(autodiff) - ad_calls(checks, "_op_checks") == {"fused"}
+
+
+def public_definitions(tree):
+    """(name, node) of each public top-level function or class and each public method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item
+
+
+def references(node):
+    """How often each identifier appears in ``node`` as a name or an attribute."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+    return found
+
+
+def script_functions(pyproject: str):
+    """Function names that the ``[project.scripts]`` table points at."""
+    table = pyproject.split("[project.scripts]", 1)[-1].split("\n[", 1)[0]
+    return set(re.findall(r':(\w+)"\s*$', table, re.M))
+
+
+def unreferenced(definers, callers, scripts=()):
+    """Public names of the ``definers`` sources used nowhere in ``callers`` but in themselves."""
+    total = Counter(scripts)
+    for source in callers:
+        total += references(ast.parse(source))
+    found = []
+    for source in definers:
+        for name, node in public_definitions(ast.parse(source)):
+            if total[name] == references(node)[name]:
+                found.append(name)
+    return sorted(found)
+
+
+def test_every_public_name_is_referenced_by_the_package_or_the_benchmark():
+    package = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    scripts = script_functions((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert scripts == {"entry"}  # the scan of the scripts table is not vacuous
+    assert unreferenced(package, callers, scripts) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_reference_scan_finds_an_unreferenced_name():
+    package = (
+        "class Box:\n"
+        "    def used(self):\n        return 1\n"
+        "    def unused(self):\n        return self.unused()\n"
+        "    def _private(self):\n        pass\n"
+        "def helper():\n    return Box().used()\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "def _hidden():\n    pass\n"
+        "class Orphan:\n    pass\n"
+    )
+    bench = "from pkg import helper\nhelper()\n"
+    assert unreferenced([package], [package, bench]) == ["Orphan", "recursive", "unused"]
+    assert unreferenced([package], [package, bench], {"recursive"}) == ["Orphan", "unused"]

@@ -5,10 +5,11 @@ import numpy.testing as npt
 import pytest
 
 from nsesimp import autodiff as ad
+from nsesimp import layers
 from nsesimp import model as M
 from nsesimp.autodiff import Tape, backward
 from nsesimp.data import BOS_ID, EOS_ID
-from nsesimp.decoder import decoder_step, init_decoder
+from nsesimp.decoder import decoder_recurrence, init_decoder
 from nsesimp.errors import ConfigError
 from nsesimp.training import sentence_loss, xent_loss
 
@@ -84,14 +85,15 @@ class TestTeacherLogits:
         npt.assert_allclose(log_probs, expected, atol=1e-14)
 
 
-def per_step_logits(m, enc, decoder_input_ids, rate, training, rng):
-    """Reference forward: one full decoder_step (with its logits) per token."""
-    state = init_decoder(m.decoder, enc)
+def per_step_logits(m, enc, decoder_input_ids, rate, rng):
+    """Reference forward: one decoder step and its own output product per token."""
+    p = m.decoder
+    state = init_decoder(p, enc)
     rows = []
     for tok in decoder_input_ids:
         y = ad.take_rows(m.tgt_embed.E, [tok])
-        state, _, logits = decoder_step(m.decoder, state, y, enc.states, rate, training, rng)
-        rows.append(logits)
+        state, _, feature = decoder_recurrence(p, state, y, enc.states, rate, rng)
+        rows.append(layers.linear(p.out_w, p.out_b, feature))
     return ad.stack_rows(rows)
 
 
@@ -117,8 +119,8 @@ class TestHoistedTeacherLogits:
         outs = []
         for logits_fn in (M.teacher_logits, per_step_logits):
             rng = np.random.default_rng(31)
-            enc = M.encode(m, self.SRC, rate, rate > 0, rng)
-            outs.append(logits_fn(m, enc, dec_in, rate, rate > 0, rng).data)
+            enc = M.encode(m, self.SRC, rate, rng)
+            outs.append(logits_fn(m, enc, dec_in, rate, rng).data)
         assert outs[0].shape == (len(dec_in), 9)
         assert max_relative_error(outs[0], outs[1]) <= 1e-12
 
@@ -135,8 +137,8 @@ class TestHoistedTeacherLogits:
             return {name: t.grad.copy() for name, t in m.named_params()}
 
         def reference_loss(rng):
-            enc = M.encode(m, self.SRC, rate, rate > 0, rng)
-            logits = per_step_logits(m, enc, [BOS_ID] + self.TGT, rate, rate > 0, rng)
+            enc = M.encode(m, self.SRC, rate, rng)
+            logits = per_step_logits(m, enc, [BOS_ID] + self.TGT, rate, rng)
             return xent_loss(logits, self.TGT + [EOS_ID])
 
         got = grads(lambda rng: sentence_loss(m, self.SRC, self.TGT, rate, rate > 0, rng))

@@ -372,7 +372,7 @@ class TestTies:
             weights = rng.integers(1, 4, size=(V, V)).astype(float)
             tables.append(weights / weights.sum(axis=1, keepdims=True))
         for probs in tables:
-            for beam in (2, 3, 5):
+            for beam in (1, 2, 3, 5):
                 for length_normalize in (False, True):
                     batched, single = PrefixSession(probs), PrefixSession(probs)
                     hyp = beam_decode(batched, beam, 5, length_normalize)
