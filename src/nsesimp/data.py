@@ -171,14 +171,15 @@ def load_references(paths: Sequence, expected: int) -> list[list[list[str]]]:
 def load_pretrained_embeddings(path, vocab: Vocabulary, dim: int, rng: np.random.Generator):
     """Embedding table initialized uniformly, then overwritten from a file.
 
-    File lines are "token v1 ... v_dim".  Returns ``(table, hit_rate)``
-    where hit_rate is the covered fraction of non-reserved vocabulary
-    entries.  A wrong vector width, a value of a vocabulary token's row that
-    is not a finite number, or bytes that are not UTF-8 raise
-    :class:`FormatError` naming the offending line.
+    File lines are "token v1 ... v_dim"; when a token has several lines,
+    the last one wins its row.  Returns ``(table, hit_rate)`` where hit_rate
+    is the covered fraction of non-reserved vocabulary entries.  A wrong
+    vector width, a value of a vocabulary token's row that is not a finite
+    number, or bytes that are not UTF-8 raise :class:`FormatError` naming
+    the offending line.
     """
     table = layers.EmbeddingTable.create(vocab.size, dim, rng)
-    hits = 0
+    hits = set()
     # read as bytes, so a line that is not UTF-8 is known by its number
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -203,9 +204,9 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, dim: int, rng: np.random
             if not all(map(math.isfinite, row)):
                 raise FormatError(f"embedding line {lineno} has a value that is not finite")
             table.E.data[i] = row
-            hits += 1
+            hits.add(i)
     denom = max(vocab.size - 4, 1)
-    return table, hits / denom
+    return table, len(hits) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ which keeps the given rows in order, each followed by its token.
 the same functions with synthetic probability tables.
 
 Scores are raw summed log-probabilities (no length normalization unless
-requested).  All tie-breaks are deterministic: token ties resolve to the
-lowest id and candidate ties preserve generation order.
+requested).  Padding and the begin marker are never proposed.  All
+tie-breaks are deterministic: token ties resolve to the lowest id and
+candidate ties preserve generation order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EOS_ID, UNK_ID, Vocabulary
+from .data import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
 from .errors import ConfigError, UsageError
 
 
@@ -48,18 +49,28 @@ def _selection_key(hyp: Hypothesis, length_normalize: bool) -> float:
     return hyp.score / max(steps, 1)
 
 
-def _best_tokens(log_probs: np.ndarray, n: int) -> np.ndarray:
-    """The ``n`` best ids of each row, best first, ties to the lower id.
+# ids a hypothesis never proposes: padding and the begin marker
+_NEVER_PROPOSED = [PAD_ID, BOS_ID]
 
-    Equal to the first ``n`` columns of a stable argsort of ``-log_probs``,
-    without sorting whole rows: a partition finds each row's n-th best
-    value, and only the ids at or above it (more than ``n`` when ties
+
+def _best_tokens(log_probs: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` best proposable ids of each row, best first, ties to the lower id.
+
+    Equal to the first ``n`` ids of a stable argsort of ``-log_probs`` with
+    padding and the begin marker left out (all that remain when fewer are
+    left), without sorting whole rows: a partition finds each row's n-th
+    best value, and only the ids at or above it (more than ``n`` when ties
     straddle the cut) are sorted.  For ``n = 1`` it is the argmax, whose
-    first maximum is the lowest id.
+    first maximum is the lowest id, unless that is an id left out.
+    ``log_probs`` is not written.
     """
+    n = min(n, log_probs.shape[1] - len(_NEVER_PROPOSED))
     if n == 1:
-        return np.argmax(log_probs, axis=1)[:, None]
+        best = np.argmax(log_probs, axis=1)
+        if all(i not in best for i in _NEVER_PROPOSED):
+            return best[:, None]
     neg = -log_probs
+    neg[:, _NEVER_PROPOSED] = np.nan  # sorts after every number, so never reaches the cut
     cut = np.partition(neg, n - 1, axis=1)[:, n - 1]
     out = np.empty((neg.shape[0], n), dtype=np.intp)
     for r in range(neg.shape[0]):
@@ -73,10 +84,10 @@ def beam_decode(
 ) -> Hypothesis:
     """Breadth-limited search over cumulative log-probability.
 
-    Each step every live hypothesis proposes its top-``beam`` tokens; the
-    pooled candidates are ranked and the best non-terminal ones refill the
-    beam, while every terminal candidate is banked in a finished pool that
-    is never pruned.  The best finished hypothesis wins; only if nothing
+    Each step every live hypothesis proposes its top-``beam`` tokens, never
+    padding or the begin marker; the pooled candidates are ranked and the
+    best non-terminal ones refill the beam, while every terminal candidate
+    is banked in a finished pool that is never pruned.  The best finished hypothesis wins; only if nothing
     finished does the best live one stand in.  All live hypotheses share
     one session step.
     """
@@ -89,7 +100,7 @@ def beam_decode(
     finished: list[Hypothesis] = []
     for _ in range(max_len):
         log_probs, alpha, core = session.step(state)
-        top = _best_tokens(log_probs, min(beam, log_probs.shape[1]))
+        top = _best_tokens(log_probs, beam)
         # hypothesis order, then token order; the stable sort keeps it for ties
         candidates = [
             (hyp.score + float(log_probs[r, token]), r, int(token))

@@ -17,11 +17,12 @@ Ties always resolve to the earliest epoch.
 from __future__ import annotations
 
 import math
-import os
+import mmap
 import struct
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -322,8 +323,8 @@ class Checkpoint:
     dim: int
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
-    params: list[tuple[str, np.ndarray]]  # float32 arrays
-    adam: AdamState | None = None  # float32 moments
+    params: list[tuple[str, np.ndarray]]  # float32 arrays; loaded ones are read-only views
+    adam: AdamState | None = None  # float32 moments, likewise
     epoch: int = 0
     dev_bleu: float = 0.0
     dev_sari: float = 0.0
@@ -413,7 +414,14 @@ def _write_array(f, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ``ckpt`` to ``path`` section by section, with no staging copy."""
+    """Write ``ckpt`` to ``path`` section by section, with no staging copy.
+
+    An existing file at ``path`` (or at the end of a symlink there) is
+    unlinked first, never truncated in place: a loaded checkpoint may still
+    map it, even the one being saved.
+    """
+    path = Path(path).resolve()
+    path.unlink(missing_ok=True)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -435,86 +443,119 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
                 _write_array(f, arr)
 
 
-class _Reader:
-    """Reads checkpoint fields from an open file, tracking the byte offset.
+_U32 = struct.Struct("<I")
 
-    Every read is checked against the file size first, so a truncated file
-    or a corrupt length raises :class:`FormatError` at the field's offset
-    before anything of the claimed size is allocated.
+
+class _Reader:
+    """Walks checkpoint fields in a read-only buffer, tracking the byte offset.
+
+    Every field is checked against the buffer's size first, so a truncated
+    file or a corrupt length raises :class:`FormatError` at the field's
+    offset before anything of the claimed size is made.
     """
 
-    def __init__(self, f):
-        self.f = f
+    def __init__(self, buf):
+        self.buf = buf
         self.pos = 0
-        self.size = os.fstat(f.fileno()).st_size
+        self.size = len(buf)
 
-    def _claim(self, n: int, what: str) -> None:
-        if self.pos + n > self.size:
-            raise FormatError(f"file truncated while reading {what}", offset=self.pos)
-        self.pos += n
+    def _claim(self, n: int, what: str) -> int:
+        at = self.pos
+        if at + n > self.size:
+            raise FormatError(f"file truncated while reading {what}", offset=at)
+        self.pos = at + n
+        return at
 
     def take(self, n: int, what: str) -> bytes:
-        self._claim(n, what)
-        return self.f.read(n)
+        return self.buf[self._claim(n, what) : self.pos]
 
     def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
+        return struct.unpack_from(fmt, self.buf, self._claim(struct.calcsize(fmt), what))[0]
+
+    def strings(self, count: int, what: str) -> list[str]:
+        """``count`` length-prefixed UTF-8 strings, in one tight loop."""
+        buf, size, pos, out = self.buf, self.size, self.pos, []
+        length_of = _U32.unpack_from
+        try:
+            for _ in range(count):
+                if pos + 4 > size:
+                    raise FormatError(f"file truncated while reading {what} length", offset=pos)
+                (n,) = length_of(buf, pos)
+                pos += 4
+                if pos + n > size:
+                    raise FormatError(f"file truncated while reading {what}", offset=pos)
+                out.append(str(buf[pos : pos + n], "utf-8"))
+                pos += n
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{what} is not valid UTF-8", offset=pos) from e
+        self.pos = pos
+        return out
 
     def string(self, what: str) -> str:
-        n = self.unpack("<I", f"{what} length")
-        at = self.pos
-        try:
-            return self.take(n, what).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"{what} is not valid UTF-8", offset=at) from e
+        return self.strings(1, what)[0]
 
     def f32_array(self, what: str) -> np.ndarray:
+        """A read-only ``<f4`` view of the array's bytes in the buffer."""
         rank = self.unpack("<I", f"{what} rank")
         if rank > 8:
             raise FormatError(f"{what} has implausible rank {rank}", offset=self.pos - 4)
         shape = tuple(self.unpack("<I", f"{what} dim") for _ in range(rank))
-        self._claim(4 * math.prod(shape), f"{what} data")
-        arr = np.empty(shape, "<f4")
-        self.f.readinto(arr)
-        return arr
+        count = math.prod(shape)
+        at = self._claim(4 * count, f"{what} data")
+        return np.frombuffer(self.buf, "<f4", count, at).reshape(shape)
+
+
+def _map(f):
+    """The whole file mapped read-only; an empty file, which cannot be mapped, as no bytes."""
+    try:
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    except ValueError:
+        return b""
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint without copying its arrays.
+
+    The file is mapped read-only, and every parameter and optimizer moment
+    is a read-only float32 view of the mapping, so a load reads only the
+    pages that are used: serving never touches the optimizer section.
+    The mapping lives as long as any view of it.
+    """
     with open(path, "rb") as f:
-        r = _Reader(f)
-        magic = r.take(4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad magic {magic!r}", offset=0)
-        version = r.unpack("<I", "version")
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported format version {version}", offset=4)
-        encoder_kind = r.string("encoder kind")
-        if encoder_kind not in ENCODER_KINDS:
-            raise FormatError(f"unknown encoder kind {encoder_kind!r}")
-        dim = r.unpack("<I", "dim")
-        epoch = r.unpack("<I", "epoch")
-        dev_bleu = r.unpack("<d", "dev bleu")
-        dev_sari = r.unpack("<d", "dev sari")
-        vocabs = []
-        for side in ("source", "target"):
-            n = r.unpack("<I", f"{side} vocab size")
-            tokens = [r.string(f"{side} vocab token") for _ in range(n)]
-            if tokens[:4] != ["<pad>", "<unk>", "<s>", "</s>"]:
-                raise FormatError(f"{side} vocabulary lacks the reserved header tokens")
-            vocabs.append(Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}))
-        n_params = r.unpack("<I", "parameter count")
-        params = []
-        for _ in range(n_params):
-            name = r.string("parameter name")
-            params.append((name, r.f32_array(f"parameter {name}")))
-        adam = None
-        if r.unpack("<B", "optimizer flag"):
-            t = r.unpack("<Q", "optimizer step")
-            m = [r.f32_array("optimizer moment") for _ in range(n_params)]
-            v = [r.f32_array("optimizer moment") for _ in range(n_params)]
-            adam = AdamState(m=m, v=v, t=t)
-        if f.read(1):
-            raise FormatError("unexpected trailing bytes", offset=r.pos)
+        r = _Reader(_map(f))
+    magic = r.take(4, "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad magic {magic!r}", offset=0)
+    version = r.unpack("<I", "version")
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"unsupported format version {version}", offset=4)
+    encoder_kind = r.string("encoder kind")
+    if encoder_kind not in ENCODER_KINDS:
+        raise FormatError(f"unknown encoder kind {encoder_kind!r}")
+    dim = r.unpack("<I", "dim")
+    epoch = r.unpack("<I", "epoch")
+    dev_bleu = r.unpack("<d", "dev bleu")
+    dev_sari = r.unpack("<d", "dev sari")
+    vocabs = []
+    for side in ("source", "target"):
+        n = r.unpack("<I", f"{side} vocab size")
+        tokens = r.strings(n, f"{side} vocab token")
+        if tokens[:4] != ["<pad>", "<unk>", "<s>", "</s>"]:
+            raise FormatError(f"{side} vocabulary lacks the reserved header tokens")
+        vocabs.append(Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}))
+    n_params = r.unpack("<I", "parameter count")
+    params = []
+    for _ in range(n_params):
+        name = r.string("parameter name")
+        params.append((name, r.f32_array(f"parameter {name}")))
+    adam = None
+    if r.unpack("<B", "optimizer flag"):
+        t = r.unpack("<Q", "optimizer step")
+        m = [r.f32_array("optimizer moment") for _ in range(n_params)]
+        v = [r.f32_array("optimizer moment") for _ in range(n_params)]
+        adam = AdamState(m=m, v=v, t=t)
+    if r.pos != r.size:
+        raise FormatError("unexpected trailing bytes", offset=r.pos)
     return Checkpoint(
         encoder_kind=encoder_kind,
         dim=dim,

@@ -3,7 +3,8 @@
 Everything here is written from first principles with naive loops and no
 shared code with the package: finite differences for gradients, direct
 n-gram scanning for the metrics, filter-then-argmax for model selection,
-and a beam search that steps one hypothesis at a time.  Slow on purpose;
+a beam search that steps one hypothesis at a time, and a checkpoint reader
+that reads the file field by field into fresh arrays.  Slow on purpose;
 clarity over speed.
 
 The one exception is the per-sentence model: the teacher-forced loss of one
@@ -19,14 +20,18 @@ LSTM cell is the unfused one, sixteen tape nodes per step, that
 from __future__ import annotations
 
 import math
+import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from nsesimp import autodiff as ad
 from nsesimp.autodiff import Tape, Tensor, backward
-from nsesimp.data import BOS_ID, EOS_ID
-from nsesimp.errors import DimensionError
+from nsesimp.data import BOS_ID, EOS_ID, PAD_ID, Vocabulary
+from nsesimp.errors import DimensionError, FormatError
+from nsesimp.model import ENCODER_KINDS
+from nsesimp.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, AdamState, Checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +300,13 @@ def select_model(records, tune_metric, threshold):
 # beam search
 
 
-def beam_search(session, beam, max_len, length_normalize, eos_id):
+def beam_search(session, beam, max_len, length_normalize, eos_id, never=(PAD_ID, BOS_ID)):
     """Beam search with one session step per live hypothesis.
 
     Each hypothesis is its own one-row session state; its candidates are
-    the first ``beam`` ids of a full stable argsort of its row, so token
-    ties go to the lower id.  Candidates are ranked by score, ties kept in
+    the first ``beam`` ids of a full stable argsort of its row, leaving out
+    ``never`` (padding and the begin marker), so token ties go to the lower
+    id.  Candidates are ranked by score, ties kept in
     generation order (hypothesis, then token); terminal ones are banked,
     the best others refill the beam.  Returns the selected
     ``(tokens, score, alphas, finished)``: the best finished hypothesis,
@@ -313,9 +319,8 @@ def beam_search(session, beam, max_len, length_normalize, eos_id):
         for tokens, score, alphas, state in live:
             log_probs, alpha, core = session.step(state)
             row = log_probs[0]
-            order = np.argsort(-row, kind="stable")
-            for token in order[: min(beam, len(row))]:
-                token = int(token)
+            order = [int(t) for t in np.argsort(-row, kind="stable") if t not in never]
+            for token in order[:beam]:
                 candidates.append((score + float(row[token]), tokens, alphas, alpha[0], core, token))
         candidates.sort(key=lambda c: -c[0])
         refill = []
@@ -337,6 +342,108 @@ def beam_search(session, beam, max_len, length_normalize, eos_id):
         return score / max(len(tokens) + (1 if done else 0), 1)
 
     return max(pool, key=key)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint reading
+
+
+class _FileReader:
+    """Reads checkpoint fields from an open file, tracking the byte offset.
+
+    Every read is checked against the file size first, so a truncated file
+    or a corrupt length raises FormatError at the field's offset before
+    anything of the claimed size is allocated.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.pos = 0
+        self.size = os.fstat(f.fileno()).st_size
+
+    def _claim(self, n, what):
+        if self.pos + n > self.size:
+            raise FormatError(f"file truncated while reading {what}", offset=self.pos)
+        self.pos += n
+
+    def take(self, n, what):
+        self._claim(n, what)
+        return self.f.read(n)
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
+
+    def string(self, what):
+        n = self.unpack("<I", f"{what} length")
+        at = self.pos
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{what} is not valid UTF-8", offset=at) from e
+
+    def f32_array(self, what):
+        rank = self.unpack("<I", f"{what} rank")
+        if rank > 8:
+            raise FormatError(f"{what} has implausible rank {rank}", offset=self.pos - 4)
+        shape = tuple(self.unpack("<I", f"{what} dim") for _ in range(rank))
+        self._claim(4 * math.prod(shape), f"{what} data")
+        arr = np.empty(shape, "<f4")
+        self.f.readinto(arr)
+        return arr
+
+
+def load_checkpoint(path):
+    """Read a checkpoint field by field from the file into fresh arrays.
+
+    The reference for ``training.load_checkpoint``: the same values, or the
+    same FormatError message and offset.
+    """
+    with open(path, "rb") as f:
+        r = _FileReader(f)
+        magic = r.take(4, "magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"bad magic {magic!r}", offset=0)
+        version = r.unpack("<I", "version")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported format version {version}", offset=4)
+        encoder_kind = r.string("encoder kind")
+        if encoder_kind not in ENCODER_KINDS:
+            raise FormatError(f"unknown encoder kind {encoder_kind!r}")
+        dim = r.unpack("<I", "dim")
+        epoch = r.unpack("<I", "epoch")
+        dev_bleu = r.unpack("<d", "dev bleu")
+        dev_sari = r.unpack("<d", "dev sari")
+        vocabs = []
+        for side in ("source", "target"):
+            n = r.unpack("<I", f"{side} vocab size")
+            tokens = [r.string(f"{side} vocab token") for _ in range(n)]
+            if tokens[:4] != ["<pad>", "<unk>", "<s>", "</s>"]:
+                raise FormatError(f"{side} vocabulary lacks the reserved header tokens")
+            vocabs.append(Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}))
+        n_params = r.unpack("<I", "parameter count")
+        params = []
+        for _ in range(n_params):
+            name = r.string("parameter name")
+            params.append((name, r.f32_array(f"parameter {name}")))
+        adam = None
+        if r.unpack("<B", "optimizer flag"):
+            t = r.unpack("<Q", "optimizer step")
+            m = [r.f32_array("optimizer moment") for _ in range(n_params)]
+            v = [r.f32_array("optimizer moment") for _ in range(n_params)]
+            adam = AdamState(m=m, v=v, t=t)
+        if f.read(1):
+            raise FormatError("unexpected trailing bytes", offset=r.pos)
+    return Checkpoint(
+        encoder_kind=encoder_kind,
+        dim=dim,
+        src_vocab=vocabs[0],
+        tgt_vocab=vocabs[1],
+        params=params,
+        adam=adam,
+        epoch=epoch,
+        dev_bleu=dev_bleu,
+        dev_sari=dev_sari,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,20 @@ def test_simplify_corrupt_checkpoint_exits_4(tmp_path):
     assert main(["simplify", "--checkpoint", str(path)]) == 4
 
 
+def test_simplify_empty_checkpoint_exits_4_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "empty.ckpt"
+    path.write_bytes(b"")
+    assert main(["simplify", "--checkpoint", str(path)]) == 4
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: file truncated while reading magic (at offset 0)"]
+
+
+def test_simplify_directory_as_checkpoint_exits_4_with_one_error_line(tmp_path, capsys):
+    assert main(["simplify", "--checkpoint", str(tmp_path)]) == 4
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "cannot read checkpoint" in errors[0]
+
+
 def test_simplify_bad_beam_exits_2(saved_models):
     assert main(["simplify", "--checkpoint", saved_models["lstm"], "--beam", "0"]) == 2
 

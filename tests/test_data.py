@@ -139,6 +139,14 @@ class TestPretrainedEmbeddings:
         assert np.all(np.abs(table.E.data[vocab.id("b")]) < 0.1)
         assert hit == 0.5
 
+    def test_repeated_token_counts_one_hit_and_the_last_line_wins(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        p.write_text("a 1.0 2.0 3.0\na 4.0 5.0 6.0\n", encoding="utf-8")
+        vocab = build_vocab([["a"]], cap=8)
+        table, hit = load_pretrained_embeddings(p, vocab, 3, np.random.default_rng(0))
+        npt.assert_array_equal(table.E.data[vocab.id("a")], [4.0, 5.0, 6.0])
+        assert hit == 1.0
+
     def test_malformed_width_cites_line(self, tmp_path):
         p = tmp_path / "vec.txt"
         lines = [f"tok{i} 1.0 2.0 3.0" for i in range(6)] + ["bad 1.0 2.0"]

@@ -5,10 +5,12 @@ distribution depends only on the previous token, which makes exhaustive
 enumeration of all output sequences trivial.  The hand-built table where
 greedy is suboptimal was scored by hand before implementation:
 
-  start: P(4)=0.5, P(0)=0.45; from 4: P(1)=0.35, P(end)=0.30;
-  from 0: P(end)=0.9; from 1: P(end)=0.9.
-  greedy path [4, 1] has probability 0.5*0.35*0.9 = 0.1575, while [0]
+  start: P(4)=0.5, P(5)=0.45; from 4: P(1)=0.35, P(end)=0.30;
+  from 5: P(end)=0.9; from 1: P(end)=0.9.
+  greedy path [4, 1] has probability 0.5*0.35*0.9 = 0.1575, while [5]
   scores 0.45*0.9 = 0.405 -- found by beam 2 and by enumeration.
+
+Padding and the begin marker are never proposed, so enumeration skips them.
 """
 
 import math
@@ -20,7 +22,7 @@ import pytest
 import oracles
 from nsesimp import autodiff as ad
 from nsesimp import search
-from nsesimp.data import BOS_ID, EOS_ID, UNK_ID, build_vocab
+from nsesimp.data import BOS_ID, EOS_ID, PAD_ID, UNK_ID, build_vocab
 from nsesimp.decoder import decoder_step, init_decoder
 from nsesimp.errors import ConfigError, UsageError
 from nsesimp.model import ENCODER_KINDS, DecodeSession, build_model, encode
@@ -93,6 +95,8 @@ def enumerate_best(session, max_len):
             return
         log_probs, _, core = session.step(state)
         for tok in range(log_probs.shape[1]):
+            if tok in (PAD_ID, BOS_ID):
+                continue
             s2 = score + float(log_probs[0, tok])
             if tok == EOS_ID:
                 best_fin = consider(best_fin, (s2, tokens))
@@ -104,12 +108,12 @@ def enumerate_best(session, max_len):
 
 
 def suboptimal_greedy_table():
-    V = 5
-    probs = np.full((V, V), 0.2)
-    probs[BOS_ID] = [0.45, 0.04, 0.005, 0.005, 0.5]
-    probs[4] = [0.2, 0.35, 0.1, 0.3, 0.05]
-    probs[0] = [0.025, 0.025, 0.025, 0.9, 0.025]
-    probs[1] = [0.025, 0.025, 0.025, 0.9, 0.025]
+    V = 6
+    probs = np.full((V, V), 1.0 / V)
+    probs[BOS_ID] = [0.002, 0.04, 0.003, 0.005, 0.5, 0.45]
+    probs[4] = [0.02, 0.35, 0.08, 0.3, 0.05, 0.2]
+    probs[5] = [0.02, 0.02, 0.02, 0.9, 0.02, 0.02]
+    probs[1] = [0.02, 0.02, 0.02, 0.9, 0.02, 0.02]
     assert np.allclose(probs.sum(axis=1), 1.0)
     return probs
 
@@ -184,13 +188,13 @@ class TestBeamSearch:
         g = greedy_decode(session, max_len=3)
         assert g.tokens == (4, 1)
         b = beam_decode(session, beam=2, max_len=3)
-        assert b.tokens == (0,)
+        assert b.tokens == (5,)
         assert b.finished
         npt.assert_allclose(math.exp(b.score), 0.405, rtol=1e-3)
         assert b.score > g.score
         # enumeration agrees the beam-2 answer is globally optimal
         best = enumerate_best(session, max_len=3)
-        assert best[1] == (0,)
+        assert best[1] == (5,)
 
     def test_exhaustive_optimality_markov(self):
         rng = np.random.default_rng(5)
@@ -253,9 +257,9 @@ class TestBeamSearch:
             beam_decode(session, beam=0)
 
     def test_length_normalized_selection(self):
-        # two finished candidates: [0] with logP -2.0 and [4, 1] with
-        # logP -2.4; raw selection prefers [0], per-token prefers [4, 1]
-        fin_a = Hypothesis((0,), -2.0, (np.array([1.0]),), True)
+        # two finished candidates: [5] with logP -2.0 and [4, 1] with
+        # logP -2.4; raw selection prefers [5], per-token prefers [4, 1]
+        fin_a = Hypothesis((5,), -2.0, (np.array([1.0]),), True)
         fin_b = Hypothesis((4, 1), -2.4, (np.array([1.0]),) * 2, True)
         raw = max([fin_a, fin_b], key=lambda h: search._selection_key(h, False))
         norm = max([fin_a, fin_b], key=lambda h: search._selection_key(h, True))
@@ -264,7 +268,10 @@ class TestBeamSearch:
 
 
 def one_row_greedy(model, src, max_len):
-    """Greedy decoding as a plain loop over the one-row decoder step."""
+    """Greedy decoding as a plain loop over the one-row decoder step.
+
+    Each step takes the argmax over every id but padding and the begin marker.
+    """
     enc = encode(model, src)
     state = init_decoder(model.decoder, enc)
     token, tokens, alphas, score = BOS_ID, [], [], 0.0
@@ -272,7 +279,9 @@ def one_row_greedy(model, src, max_len):
         y = ad.take_rows(model.tgt_embed.E, [token])
         state, alpha, logits = decoder_step(model.decoder, state, y, enc.states)
         log_probs = ad.log_softmax_rows(logits).data[0]
-        token = int(np.argmax(log_probs))
+        proposable = log_probs.copy()
+        proposable[[PAD_ID, BOS_ID]] = -np.inf
+        token = int(np.argmax(proposable))
         score = score + float(log_probs[token])
         if token == EOS_ID:
             return tuple(tokens), score, alphas, True
@@ -336,11 +345,17 @@ class TestBatchedSearch:
 
 
 def tie_at_the_cut_row():
-    """Ids 7, 2 and 9 lead; ids 1, 5 and 8 tie at the 4th best value."""
+    """Ids 7, 4 and 9 lead; ids 1, 5 and 8 tie at the 4th best value."""
     row = np.full(12, -9.0)
-    row[[7, 2, 9]] = [-1.0, -2.0, -3.0]
+    row[[7, 4, 9]] = [-1.0, -2.0, -3.0]
     row[[1, 5, 8]] = -4.0
     return row
+
+
+def stable_order(table):
+    """Each row's ids by a stable argsort of the negated row, reserved ids left out."""
+    order = np.argsort(-table, axis=1, kind="stable")
+    return np.array([[t for t in row if t not in (PAD_ID, BOS_ID)] for row in order])
 
 
 class TestTies:
@@ -354,15 +369,15 @@ class TestTies:
             np.round(np.random.default_rng(11).normal(size=(5, 12))),  # many ties
         ]
         for table in tables:
-            want = np.argsort(-table, axis=1, kind="stable")
-            for n in range(1, table.shape[1] + 1):
+            want = stable_order(table)
+            for n in range(1, table.shape[1] - 1):
                 npt.assert_array_equal(search._best_tokens(table, n), want[:, :n])
 
     def test_ties_at_the_cut_keep_the_lowest_ids(self):
-        npt.assert_array_equal(search._best_tokens(np.zeros((2, 12)), 3), [[0, 1, 2]] * 2)
+        npt.assert_array_equal(search._best_tokens(np.zeros((2, 12)), 3), [[1, 3, 4]] * 2)
         row = tie_at_the_cut_row()[None, :]
-        npt.assert_array_equal(search._best_tokens(row, 4), [[7, 2, 9, 1]])
-        npt.assert_array_equal(search._best_tokens(row, 5), [[7, 2, 9, 1, 5]])
+        npt.assert_array_equal(search._best_tokens(row, 4), [[7, 4, 9, 1]])
+        npt.assert_array_equal(search._best_tokens(row, 5), [[7, 4, 9, 1, 5]])
 
     def test_beams_follow_the_oracle_on_tied_tables(self):
         rng = np.random.default_rng(12)
@@ -381,6 +396,57 @@ class TestTies:
                     )
                     assert batched.stepped == single.stepped
                     assert (hyp.tokens, hyp.score, hyp.finished) == (tokens, score, finished)
+
+
+def reserved_heavy_table():
+    """Padding and the begin marker lead every row, and they are never proposed.
+
+    Among the other ids, greedy takes 4 from the start, then 1, then ends.
+    """
+    V = 5
+    probs = np.full((V, V), 1.0 / V)
+    probs[BOS_ID] = [0.6, 0.01, 0.3, 0.04, 0.05]
+    probs[4] = [0.5, 0.05, 0.4, 0.04, 0.01]
+    probs[1] = [0.5, 0.01, 0.3, 0.15, 0.04]
+    return probs
+
+
+class RecordingSession(PrefixSession):
+    """Keeps each table it hands out, with a copy, to show that none is written."""
+
+    def __init__(self, probs: np.ndarray):
+        super().__init__(probs)
+        self.handed = []
+
+    def step(self, state):
+        log_probs, alpha, core = super().step(state)
+        self.handed.append((log_probs, log_probs.copy()))
+        return log_probs, alpha, core
+
+
+class TestReservedIds:
+    """Padding and the begin marker are never proposed, even as a row's best."""
+
+    def test_greedy_and_beams_skip_the_best_entries_when_reserved(self):
+        probs = reserved_heavy_table()
+        for beam in (1, 2, 3):
+            session = RecordingSession(probs)
+            hyp = beam_decode(session, beam, 4)
+            assert all(not {PAD_ID, BOS_ID} & set(prefix[1:]) for prefix in session.stepped)
+            assert not {PAD_ID, BOS_ID} & set(hyp.tokens)
+            assert all(np.array_equal(table, copy) for table, copy in session.handed)
+            tokens, score, _, finished = oracles.beam_search(
+                PrefixSession(probs), beam, 4, False, EOS_ID
+            )
+            assert (hyp.tokens, hyp.score, hyp.finished) == (tokens, score, finished)
+        assert greedy_decode(MarkovSession(probs), 4).tokens == (4, 1)
+
+    def test_a_model_biased_to_reserved_ids_never_emits_them(self):
+        model, src = random_session(41)
+        model.decoder.out_b.data[[PAD_ID, BOS_ID]] += 20.0
+        session = DecodeSession(model, src)
+        for beam in (1, 3):
+            assert not {PAD_ID, BOS_ID} & set(beam_decode(session, beam, 6).tokens)
 
 
 class TestReplaceUnks:
