@@ -317,14 +317,19 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume or serve a model, in 32-bit storage."""
+    """Everything needed to resume or serve a model; stored as float32 on disk.
+
+    A made checkpoint reads the live float64 arrays of its model and
+    optimizer, a loaded one holds read-only float32 views of the file, and
+    ``train``'s best snapshot holds frozen float32 copies.
+    """
 
     encoder_kind: str
     dim: int
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
-    params: list[tuple[str, np.ndarray]]  # float32 arrays; loaded ones are read-only views
-    adam: AdamState | None = None  # float32 moments, likewise
+    params: list[tuple[str, np.ndarray]]
+    adam: AdamState | None = None
     epoch: int = 0
     dev_bleu: float = 0.0
     dev_sari: float = 0.0
@@ -339,19 +344,18 @@ def make_checkpoint(
     dev_bleu: float = 0.0,
     dev_sari: float = 0.0,
 ) -> Checkpoint:
-    params = [(name, t.data.astype(np.float32)) for name, t in model.named_params()]
-    if adam is not None:
-        adam = AdamState(
-            m=[a.astype(np.float32) for a in adam.m],
-            v=[a.astype(np.float32) for a in adam.v],
-            t=adam.t,
-        )
+    """A checkpoint that reads ``model``'s parameters and ``adam``'s moments in place.
+
+    Nothing is copied: saving rounds each array to float32 as it writes it.
+    Save a made checkpoint before training goes on, or it saves the later
+    values.
+    """
     return Checkpoint(
         encoder_kind=model.encoder_kind,
         dim=model.dim,
         src_vocab=src_vocab,
         tgt_vocab=tgt_vocab,
-        params=params,
+        params=[(name, t.data) for name, t in model.named_params()],
         adam=adam,
         epoch=epoch,
         dev_bleu=dev_bleu,
@@ -371,8 +375,13 @@ class _Unfilled:
         return np.empty(size)
 
 
+def _widened(arr: np.ndarray) -> np.ndarray:
+    """``arr`` rounded to float32, as a checkpoint stores it, then widened to float64."""
+    return np.asarray(arr, np.float32).astype(np.float64)
+
+
 def restore_model(ckpt: Checkpoint) -> Model:
-    """Rebuild a live float64 model from stored float32 parameters."""
+    """Rebuild a live float64 model from a checkpoint's float32-rounded parameters."""
     model = build_model(
         ckpt.encoder_kind, ckpt.dim, ckpt.src_vocab.size, ckpt.tgt_vocab.size, _Unfilled()
     )
@@ -388,7 +397,7 @@ def restore_model(ckpt: Checkpoint) -> Model:
             raise FormatError(
                 f"parameter {got_name!r} has shape {arr.shape}, expected {tensor.shape}"
             )
-        tensor.data = arr.astype(np.float64)
+        tensor.data = _widened(arr)
     return model
 
 
@@ -396,54 +405,70 @@ def restore_adam(ckpt: Checkpoint) -> AdamState | None:
     if ckpt.adam is None:
         return None
     return AdamState(
-        m=[a.astype(np.float64) for a in ckpt.adam.m],
-        v=[a.astype(np.float64) for a in ckpt.adam.v],
+        m=[_widened(a) for a in ckpt.adam.m],
+        v=[_widened(a) for a in ckpt.adam.v],
         t=ckpt.adam.t,
     )
 
 
-def _write_string(f, s: str) -> None:
-    data = s.encode("utf-8")
-    f.write(struct.pack("<I", len(data)))
-    f.write(data)
+_U32 = struct.Struct("<I")
+
+# Elements rounded to float32 per write: a 256 KiB buffer, reused for every array.
+_SAVE_CHUNK = 1 << 16
 
 
-def _write_array(f, arr: np.ndarray) -> None:
+def _packed_strings(strings) -> bytearray:
+    """Length-prefixed UTF-8 strings in one buffer: what ``_Reader.strings`` walks."""
+    out, pack = bytearray(), _U32.pack
+    for data in map(str.encode, strings):
+        out += pack(len(data))
+        out += data
+    return out
+
+
+def _write_array(f, arr: np.ndarray, buf: np.ndarray) -> None:
+    """Rank, shape and the ``<f4`` values of ``arr``, rounded through ``buf`` chunk by chunk."""
     f.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
-    f.write(np.ascontiguousarray(arr, "<f4").data)
+    if arr.dtype == buf.dtype:
+        f.write(np.ascontiguousarray(arr).data)
+        return
+    flat = arr.reshape(-1)
+    for lo in range(0, flat.size, buf.size):
+        part = buf[: min(buf.size, flat.size - lo)]
+        part[...] = flat[lo : lo + part.size]
+        f.write(part.data)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write ``ckpt`` to ``path`` section by section, with no staging copy.
 
+    Arrays already in float32 are written as they are; any other array is
+    rounded to float32, as ``astype`` rounds it, through one small buffer.
     An existing file at ``path`` (or at the end of a symlink there) is
     unlinked first, never truncated in place: a loaded checkpoint may still
     map it, even the one being saved.
     """
     path = Path(path).resolve()
     path.unlink(missing_ok=True)
+    buf = np.empty(_SAVE_CHUNK, "<f4")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        _write_string(f, ckpt.encoder_kind)
+        f.write(_packed_strings([ckpt.encoder_kind]))
         f.write(struct.pack("<IIdd", ckpt.dim, ckpt.epoch, ckpt.dev_bleu, ckpt.dev_sari))
         for vocab in (ckpt.src_vocab, ckpt.tgt_vocab):
             f.write(struct.pack("<I", vocab.size))
-            for token in vocab.id_to_token:
-                _write_string(f, token)
+            f.write(_packed_strings(vocab.id_to_token))
         f.write(struct.pack("<I", len(ckpt.params)))
         for name, arr in ckpt.params:
-            _write_string(f, name)
-            _write_array(f, arr)
+            f.write(_packed_strings([name]))
+            _write_array(f, arr, buf)
         if ckpt.adam is None:
             f.write(b"\x00")
         else:
             f.write(struct.pack("<BQ", 1, ckpt.adam.t))
             for arr in ckpt.adam.m + ckpt.adam.v:
-                _write_array(f, arr)
-
-
-_U32 = struct.Struct("<I")
+                _write_array(f, arr, buf)
 
 
 class _Reader:
@@ -747,6 +772,8 @@ def train(
                     dev_bleu=dev_bleu,
                     dev_sari=dev_sari,
                 )
+                # frozen, since the model trains on after this epoch
+                best.params = [(name, a.astype(np.float32)) for name, a in best.params]
     if best is None:
         raise UsageError("no epochs were run and no previous best was supplied")
     return TrainResult(

@@ -779,12 +779,13 @@ class TestCheckpoints:
         assert len(loaded.params) == len(ckpt.params)
         for (name_a, arr_a), (name_b, arr_b) in zip(ckpt.params, loaded.params):
             assert name_a == name_b
-            assert arr_a.dtype == arr_b.dtype == np.float32
-            assert np.array_equal(arr_a, arr_b)
+            # the file stores the float32 rounding of the live arrays a made checkpoint reads
+            assert arr_b.dtype == np.float32
+            assert np.array_equal(arr_a.astype(np.float32), arr_b)
         assert loaded.adam is not None
         assert loaded.adam.t == ckpt.adam.t
         for a, b in zip(ckpt.adam.m + ckpt.adam.v, loaded.adam.m + loaded.adam.v):
-            assert np.array_equal(a, b)
+            assert np.array_equal(a.astype(np.float32), b)
 
     def test_reloaded_model_decodes_identically(self, tmp_path):
         ckpt, src_vocab = _checkpoint_fixture()
