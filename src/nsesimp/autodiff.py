@@ -112,8 +112,8 @@ class _Outer(NamedTuple):
 class _Rows(NamedTuple):
     """The gradient of gathering rows ``idx`` of a table: ``g`` at those rows.
 
-    :func:`backward` adds these straight into a trainable table's ``grad``,
-    so an embedding gather costs no table-sized gradient array per backward.
+    :func:`backward` adds every gather's rows, in order, into the table's
+    summed gradient with one ``np.add.at`` (see :func:`_resolve`).
     """
 
     idx: Array
@@ -138,63 +138,44 @@ def _resolve(parts: list, dense: Array | None, shape) -> Array:
     return total
 
 
-def _scatter_rows(t: Tensor, parts: list[_Rows]) -> None:
-    # duplicate ids are summed first, in order, so t.grad gets one total per
-    # row and repeated calls add up bitwise like separate gradients
-    ids, inv = np.unique(np.concatenate([p.idx for p in parts]), return_inverse=True)
-    rows = np.zeros((ids.size,) + t.shape[1:])
-    np.add.at(rows, inv, np.concatenate([p.g for p in parts]))
-    if t.grad is None:
-        t.grad = np.zeros(t.shape)
-    t.grad[ids] += rows
-
-
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     Repeated calls without zeroing accumulate.  Tensors with
-    ``requires_grad=False`` are skipped silently.  A weight's per-step
-    outer products and a table's gathered rows are collected during the
-    sweep: a tensor made by an op gets their sum when the sweep reaches its
-    node, a trainable leaf gets it added to its ``grad`` once, at the end,
-    and a constant leaf's are dropped.
+    ``requires_grad=False`` are skipped silently.  One pending entry per
+    tensor, keyed by its id, holds the tensor, the sum of its dense
+    gradients so far and its deferred parts (a weight's per-step outer
+    products, a table's gathered rows).  A tensor made by an op takes its
+    entry's total when the sweep reaches its node; what is left at the end
+    are leaves, and a trainable one gets its total added to its ``grad``.
     """
     if loss.shape != ():
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
-    grads: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
-    deferred: dict[int, list] = {}
-    owners: dict[int, Tensor] = {id(loss): loss}
+    # id(tensor) -> [tensor, dense sum or None, deferred parts]
+    pending: dict[int, list] = {id(loss): [loss, np.ones(()), []]}
     for node in reversed(tape.nodes):
-        k_out = id(node.out)
-        g_out = grads.pop(k_out, None)
-        if k_out in deferred:
-            g_out = _resolve(deferred.pop(k_out), g_out, node.out.shape)
-        if g_out is None:
+        entry = pending.pop(id(node.out), None)
+        if entry is None:
             continue
-        owners.pop(k_out, None)
+        _, dense, parts = entry
+        g_out = _resolve(parts, dense, node.out.shape) if parts else dense
         if node.out.requires_grad:
             _accumulate(node.out, g_out)
         for t, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None:
                 continue
-            k = id(t)
-            owners[k] = t
+            entry = pending.setdefault(id(t), [t, None, []])
             if isinstance(g, (_Outer, _Rows)):
-                deferred.setdefault(k, []).append(g)
-            elif k in grads:
-                grads[k] = grads[k] + g
+                entry[2].append(g)
             else:
-                grads[k] = g
-    for k, t in owners.items():
+                entry[1] = g if entry[1] is None else entry[1] + g
+    for t, dense, parts in pending.values():
         if not t.requires_grad:
             continue
-        parts = deferred.get(k)
-        if parts is None:
-            _accumulate(t, grads[k])
-        elif k not in grads and all(type(p) is _Rows for p in parts):
-            _scatter_rows(t, parts)
+        if parts:
+            _accumulate(t, _resolve(parts, dense, t.shape), owned=True)
         else:
-            _accumulate(t, _resolve(parts, grads.get(k), t.shape), owned=True)
+            _accumulate(t, dense)
 
 
 def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:
@@ -436,17 +417,6 @@ def narrow(x: Tensor, lo: int, hi: int) -> Tensor:
         return (z,)
 
     return _emit(xd[:, lo:hi].copy(), (x,), bw)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != x.size:
-        raise DimensionError(f"cannot reshape {x.shape} to {shape}")
-    old = x.shape
-
-    def bw(g):
-        return (g.reshape(old),)
-
-    return _emit(x.data.reshape(shape), (x,), bw)
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:

@@ -38,14 +38,6 @@ class DecoderParams:
     init_h: Tensor  # [H, H]
     init_c: Tensor  # [H, H]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.layer2.hidden_dim
-
-    @property
-    def vocab_size(self) -> int:
-        return self.out_w.shape[0]
-
     def named_params(self, prefix: str = "dec"):
         return (
             self.layer1.named_params(f"{prefix}.l1")

@@ -39,10 +39,6 @@ class EmbeddingTable:
     E: Tensor
 
     @property
-    def vocab_size(self) -> int:
-        return self.E.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.E.shape[1]
 

@@ -48,14 +48,6 @@ class Model:
     def dim(self) -> int:
         return self.src_embed.dim
 
-    @property
-    def src_vocab_size(self) -> int:
-        return self.src_embed.vocab_size
-
-    @property
-    def tgt_vocab_size(self) -> int:
-        return self.decoder.vocab_size
-
     def named_params(self):
         return (
             self.src_embed.named_params("src_emb")

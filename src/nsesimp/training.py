@@ -21,7 +21,7 @@ import mmap
 import struct
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +232,12 @@ class TrainConfig:
             raise ConfigError(
                 f"encoder_kind must be {' or '.join(ENCODER_KINDS)}, got {self.encoder_kind!r}"
             )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} {value} must be a finite number")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be non-negative")
         if self.dim < 1:
             raise ConfigError(f"dim {self.dim} must be positive")
         if self.vocab_size <= 4:

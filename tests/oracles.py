@@ -496,6 +496,18 @@ def sigmoid(x):
     return ad._emit(out, (x,), bw)
 
 
+def reshape(x, shape):
+    """The same entries in a new shape, in row-major order."""
+    if int(np.prod(shape)) != x.size:
+        raise DimensionError(f"cannot reshape {x.shape} to {shape}")
+    old = x.shape
+
+    def bw(g):
+        return (g.reshape(old),)
+
+    return ad._emit(x.data.reshape(shape), (x,), bw)
+
+
 # ---------------------------------------------------------------------------
 # the per-sentence model
 
@@ -548,8 +560,8 @@ def nse_encode(p, emb):
         hidden = ad.tanh(ad.affine_rows(ad.concat(read_h, summary), p.compose.W1, p.compose.b1))
         composed = ad.affine_rows(hidden, p.compose.W2, p.compose.b2)
         write_h, write_c = lstm_cell(p.write, composed, write_h, write_c)
-        step = sub(ad.reshape(write_h, (D,)), memory)
-        memory = add(memory, ad.mul(ad.reshape(weights, (S, 1)), step))
+        step = sub(reshape(write_h, (D,)), memory)
+        memory = add(memory, ad.mul(reshape(weights, (S, 1)), step))
         outputs.append(write_h)
         slot_weights.append(weights.data[0])
     return ad.stack_rows(outputs), write_h, write_c, slot_weights

