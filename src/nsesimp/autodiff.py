@@ -66,7 +66,10 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of ops; execution order is a topological order."""
+    """Ordered record of ops; execution order is a topological order.
+
+    :func:`backward` empties it, so one tape serves one backward.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
@@ -141,7 +144,10 @@ def _resolve(parts: list, dense: Array | None, shape) -> Array:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
-    Repeated calls without zeroing accumulate.  Tensors with
+    The sweep consumes the tape: each node is taken off ``tape.nodes`` when
+    the sweep reaches it, so the activations its backward saved are freed
+    as it goes, and a second call on the same tape is a :class:`UsageError`.
+    Calls on fresh tapes without zeroing accumulate.  Tensors with
     ``requires_grad=False`` are skipped silently.  One pending entry per
     tensor, keyed by its id, holds the tensor, the sum of its dense
     gradients so far and its deferred parts (a weight's per-step outer
@@ -151,9 +157,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.shape != ():
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
+    if not tape.nodes:
+        raise UsageError("backward needs a tape with recorded ops; each backward empties its tape")
     # id(tensor) -> [tensor, dense sum or None, deferred parts]
     pending: dict[int, list] = {id(loss): [loss, np.ones(()), []]}
-    for node in reversed(tape.nodes):
+    while tape.nodes:
+        node = tape.nodes.pop()
         entry = pending.pop(id(node.out), None)
         if entry is None:
             continue
@@ -182,7 +191,7 @@ def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:
     # t.grad is always a buffer of t's own (a copy or an earlier sum), so it
     # can be added to in place; g may alias other gradients, so it is copied
     # unless the caller made it for t alone.  Each backward adds one total
-    # per tensor, so repeated calls sum bitwise like separate gradients.
+    # per tensor, so calls over fresh tapes sum bitwise like separate gradients.
     if t.grad is None:
         t.grad = g if owned else g.copy()
     else:

@@ -178,7 +178,9 @@ def adam_step(
 def clip_global_norm(params, max_norm: float) -> float:
     """Scale all gradients so their joint norm is at most ``max_norm``.
 
-    Returns the pre-clip norm.  Direction is never changed.
+    Returns the pre-clip norm.  Direction is never changed.  A sum of
+    squares that overflows while every entry is finite is summed again over
+    the gradients divided by their largest magnitude.
     """
     total = 0.0
     for p in params:
@@ -187,6 +189,13 @@ def clip_global_norm(params, max_norm: float) -> float:
         g = p.grad.reshape(-1)
         total += float(np.vdot(g, g))
     norm = total**0.5
+    if math.isinf(total) and all(np.isfinite(p.grad).all() for p in params):
+        big = max(float(np.abs(p.grad).max(initial=0.0)) for p in params)
+        total = 0.0
+        for p in params:
+            g = p.grad.reshape(-1) / big
+            total += float(np.vdot(g, g))
+        norm = big * total**0.5
     if norm > max_norm > 0:
         factor = max_norm / norm
         for p in params:
@@ -606,6 +615,8 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass
 class TrainResult:
+    """What :func:`train` returns; ``model`` holds no gradients."""
+
     model: Model  # weights as of the last trained epoch
     best: Checkpoint  # snapshot at the selected epoch, without optimizer state
     records: list[EpochRecord]
@@ -699,9 +710,11 @@ def train(
 
     Passing ``model``/``adam``/``records``/``best`` from a previous result
     resumes training; ``epochs`` caps how many epochs this call runs,
-    which lets callers interleave their own convergence checks.  A NaN or
-    Inf raises :class:`NumericError` naming the epoch and the batch (or the
-    dev decode) where it appeared.
+    which lets callers interleave their own convergence checks.  Gradients
+    the caller left on ``model`` are dropped, each batch's gradients are
+    released right after its Adam step, and the returned model holds none.
+    A NaN or Inf raises :class:`NumericError` naming the epoch and the
+    batch (or the dev decode) where it appeared.
     """
     config.validate()
     if len(train_corpus) == 0 or len(dev_corpus) == 0:
@@ -722,6 +735,9 @@ def train(
     dev_sources = dev_corpus.source_sentences()
     dev_references = [[tgt] for tgt in dev_corpus.target_sentences()]
     lr = config.resolved_lr()
+    # Gradients live from a batch's backward to its Adam step; none left by
+    # the caller may be added into.
+    model.zero_grads()
 
     # Overflow in a diverging run is reported once, by the NaN/Inf guard in
     # the tape, instead of by numpy's warnings before it.
@@ -737,7 +753,6 @@ def train(
             )
             for b, batch in enumerate(batch_iter, 1):
                 try:
-                    model.zero_grads()
                     with Tape() as tape:
                         loss = batch_loss(model, batch, config.dropout, dropout_rng)
                     backward(loss, tape)
@@ -746,6 +761,7 @@ def train(
                     total_tokens += batch_tokens
                     clip_global_norm(params, config.clip_norm)
                     adam_step(params, adam, lr, config.beta1, config.beta2, config.adam_eps)
+                    model.zero_grads()
                 except NumericError as err:
                     raise NumericError(f"epoch {e + 1}, batch {b}: {err}") from err
             try:

@@ -7,6 +7,7 @@ central finite differences on seeded random inputs.
 """
 
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -789,13 +790,47 @@ class TestBackwardSemantics:
         backward(loss, tape)
         npt.assert_allclose(x.grad, [12.0])
 
-    def test_repeated_backward_accumulates(self):
+    def test_second_backward_over_one_tape_raises(self):
+        # accumulation over fresh tapes is covered by the two
+        # test_repeated_backward_sums_bitwise_like_separate_gradients tests
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
             loss = ad.sum_all(ad.mul(x, x))
         backward(loss, tape)
+        with pytest.raises(UsageError):
+            backward(loss, tape)
+        npt.assert_allclose(x.grad, [4.0])
+
+    def test_backward_empties_its_tape(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.sum_all(ad.tanh(ad.mul(x, x)))
+        assert len(tape.nodes) == 3
         backward(loss, tape)
-        npt.assert_allclose(x.grad, [8.0])
+        assert tape.nodes == []
+
+    def test_sweep_frees_a_node_before_the_nodes_before_it_run(self):
+        # tanh's backward keeps its output; once the sweep is past the tanh
+        # node nothing else holds that array
+        x = Tensor(np.full((2, 3), 0.5), requires_grad=True)
+        with Tape() as tape:
+            y = ad.mul(x, x)
+            z = ad.tanh(y)
+            loss = ad.sum_all(z)
+        saved = weakref.ref(z.data)
+        del z
+        first = tape.nodes[0]
+        alive_when_first_ran = []
+
+        def spy(g, fn=first.backward_fn):
+            alive_when_first_ran.append(saved() is not None)
+            return fn(g)
+
+        first.backward_fn = spy
+        del first
+        backward(loss, tape)
+        assert alive_when_first_ran == [False]
+        npt.assert_allclose(x.grad, 2 * x.data * (1 - np.tanh(x.data * x.data) ** 2))
 
     def test_intermediate_requires_grad_captured(self):
         x = Tensor([2.0], requires_grad=True)

@@ -270,6 +270,14 @@ def test_clip_scales_oversized_gradients():
     assert abs(a.grad[0] / b.grad[0] - 0.75) < 1e-12
 
 
+def test_clip_keeps_the_direction_when_the_sum_of_squares_overflows():
+    a = _param([0.0, 0.0])
+    a.grad = np.array([3e200, 4e200])
+    norm = clip_global_norm([a], 5.0)
+    assert abs(norm - 5e200) <= 1e-15 * 5e200
+    np.testing.assert_allclose(a.grad, [3.0, 4.0], rtol=1e-15)
+
+
 def test_clip_leaves_small_gradients_alone():
     a = _param([0.0, 0.0])
     a.grad = np.array([0.3, 0.4])
@@ -968,6 +976,44 @@ def test_train_resume_matches_single_run():
     ):
         assert name_a == name_b
         assert np.array_equal(pa.data, pb.data), name_a
+
+
+def test_train_releases_gradients_after_each_step(monkeypatch):
+    rng = np.random.default_rng(79)
+    corpus = toy_tasks.copy_pairs(rng, 12, min_len=3, max_len=4)
+    dev = toy_tasks.copy_pairs(rng, 4, min_len=3, max_len=4)
+    held_at_dev_decode = []
+
+    def dev_decode(model, *args, **kwargs):
+        held_at_dev_decode.append([p.grad is not None for p in model.params()])
+        return dev_decode_scores(model, *args, **kwargs)
+
+    monkeypatch.setattr("nsesimp.training.dev_decode_scores", dev_decode)
+    result = train(_loop_config(max_epochs=2), corpus, dev)
+    assert len(held_at_dev_decode) == 2
+    assert not any(any(held) for held in held_at_dev_decode)
+    assert all(p.grad is None for p in result.model.params())
+
+
+def test_train_ignores_gradients_its_caller_left_behind():
+    rng = np.random.default_rng(80)
+    corpus = toy_tasks.copy_pairs(rng, 12, min_len=3, max_len=4)
+    dev = toy_tasks.copy_pairs(rng, 4, min_len=3, max_len=4)
+    config = _loop_config(max_epochs=1)
+    src_vocab = training.build_vocab(corpus.source_sentences(), config.vocab_size)
+    tgt_vocab = training.build_vocab(corpus.target_sentences(), config.vocab_size)
+    results = []
+    for stale in (False, True):
+        model = training.initial_model(config, src_vocab.size, tgt_vocab.size)
+        if stale:
+            for p in model.params():
+                p.grad = np.full(p.shape, 0.5)
+        results.append(
+            train(config, corpus, dev, model=model, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
+        )
+    clean, stale = (r.model.named_params() for r in results)
+    for (name, a), (_, b) in zip(clean, stale):
+        assert a.data.tobytes() == b.data.tobytes(), name
 
 
 def test_train_rejects_empty_corpora():
