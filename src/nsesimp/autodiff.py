@@ -7,12 +7,14 @@ used for decoding and for finite-difference evaluation.  :func:`backward`
 replays the tape once, in reverse, and accumulates gradients into the
 ``grad`` slot of every tensor marked ``requires_grad``.
 
-Broadcasting is deliberately narrow: elementwise ops accept equal shapes,
-a vector broadcast over the rows of a matrix, or a column broadcast over
-a matrix.  Everything else is a :class:`DimensionError`, which keeps the
-backward rules short enough to audit by hand.  The products, softmaxes and
-shape ops take matrices only: one sequence's state is a [1, n] row, and k
-sequences step together as [k, n] rows.
+Every op is a whole layer step with a backward rule written out by hand:
+the row-wise affine map, tanh, the softmaxes, the fused LSTM cell, the
+masked cross-entropy loss :func:`xent_rows`, row and column surgery, the
+per-sequence attention products and dropout.  There is no elementwise
+binary op and so no broadcasting rule: each op takes the shapes its
+docstring names, and any other is a :class:`DimensionError`.  The products,
+softmaxes, the loss and the shape ops take matrices only: one sequence's
+state is a [1, n] row, and k sequences step together as [k, n] rows.
 """
 
 from __future__ import annotations
@@ -199,43 +201,6 @@ def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
-
-
-def _ew_check(a: Array, b: Array) -> None:
-    if a.shape == b.shape:
-        return
-    for big, small in ((a, b), (b, a)):
-        if big.ndim == 2 and small.ndim == 1 and big.shape[1] == small.shape[0]:
-            return  # vector broadcast over matrix rows
-        if (
-            big.ndim == 2
-            and small.ndim == 2
-            and small.shape == (big.shape[0], 1)
-        ):
-            return  # column broadcast
-    raise DimensionError(f"incompatible elementwise shapes {a.shape} and {b.shape}")
-
-
-def _reduce_to(g: Array, shape: tuple[int, ...]) -> Array:
-    if g.shape == shape:
-        return g
-    if len(shape) == 1:
-        return g.sum(axis=0)
-    return g.sum(axis=1, keepdims=True)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _ew_check(a.data, b.data)
-    ad, bd = a.data, b.data
-
-    def bw(g):
-        return _reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)
-
-    return _emit(ad * bd, (a, b), bw)
-
-
-# ---------------------------------------------------------------------------
 # products
 
 
@@ -310,12 +275,19 @@ def softmax_rows(x: Tensor, mask: Array | None = None) -> Tensor:
     return _emit(p, (x,), bw)
 
 
+def _shift_rows(m: Array) -> tuple[Array, Array, Array]:
+    """(z, top, lse): each row less its max ``top``, and log Σ exp z per row, as columns."""
+    top = m.max(axis=1, keepdims=True)
+    z = m - top
+    return z, top, np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def log_softmax_rows(x: Tensor) -> Tensor:
     """Row-wise log-softmax of a matrix."""
     m = x.data
     _check_matrix("log_softmax_rows", m)
-    z = m - m.max(axis=1, keepdims=True)
-    out = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    out, _, lse = _shift_rows(m)
+    out -= lse
 
     def bw(g):
         # the probabilities are only needed here, so tape-free decoding
@@ -323,6 +295,44 @@ def log_softmax_rows(x: Tensor) -> Tensor:
         return (g - np.exp(out) * g.sum(axis=1, keepdims=True),)
 
     return _emit(out, (x,), bw)
+
+
+def xent_rows(logits: Tensor, ids, mask: Array) -> Tensor:
+    """Masked mean negative log-likelihood: -Σ_r mask[r] log softmax(logits[r])[ids[r]] / Σ mask.
+
+    ``mask`` holds a 0/1 weight per row and selects at least one row.  The
+    tape keeps only each row's max and log-sum-exp; the backward forms
+    softmax·(-s), s = -mask / Σ mask, in one [N, V] buffer and then sets
+    each row's target entry.  The loss, and its gradient under a positive
+    upstream gradient such as backward's root, round as log_softmax_rows
+    followed by a one-per-row gather, a product with the mask, a sum and a
+    scale would round them, bit for bit.
+    """
+    m = logits.data
+    _check_matrix("xent_rows", m)
+    idx = np.asarray(ids, dtype=np.intp)
+    if idx.shape != (m.shape[0],) or mask.shape != idx.shape:
+        raise DimensionError(f"xent_rows logits {m.shape}, ids {idx.shape}, mask {mask.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= m.shape[1]):
+        raise IndexError(f"target id out of range for {m.shape[1]} classes")
+    rows = np.arange(m.shape[0])
+    z, top, lse = _shift_rows(m)
+    picked = z[rows, idx] - lse[:, 0]
+    c = -1.0 / mask.sum()
+
+    def bw(g):
+        s = (g * c) * mask
+        p = m - top
+        p -= lse
+        np.exp(p, out=p)
+        at = p[rows, idx]
+        p *= -s[:, None]
+        # the unfused rule's target entry is s - softmax·(row sum), where the
+        # row sum of s's scatter is s + 0.0: +0.0, not -0.0, at a padding row
+        p[rows, idx] = s - at * (s + 0.0)
+        return (p,)
+
+    return _emit(np.asarray((picked * mask).sum() * c), (logits,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -457,47 +467,6 @@ def take_rows(m: Tensor, ids) -> Tensor:
         return (_Rows(idx, g),)
 
     return _emit(md[idx], (m,), bw)
-
-
-def gather_rows(m: Tensor, ids) -> Tensor:
-    """Pick one entry per row: out[t] = m[t, ids[t]]."""
-    md = m.data
-    _check_matrix("gather_rows", md)
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.shape != (md.shape[0],):
-        raise DimensionError("gather_rows needs one id per row")
-    if idx.size and (idx.min() < 0 or idx.max() >= md.shape[1]):
-        raise IndexError("column id out of range")
-    rows_ix = np.arange(md.shape[0])
-
-    def bw(g):
-        z = np.zeros_like(md)
-        z[rows_ix, idx] = g
-        return (z,)
-
-    return _emit(md[rows_ix, idx], (m,), bw)
-
-
-# ---------------------------------------------------------------------------
-# reductions and scalar algebra
-
-
-def sum_all(x: Tensor) -> Tensor:
-    shape = x.shape
-
-    def bw(g):
-        return (np.full(shape, float(g)),)
-
-    return _emit(np.asarray(x.data.sum()), (x,), bw)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bw(g):
-        return (g * c,)
-
-    return _emit(x.data * c, (x,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,9 @@ def xent_loss(logits: Tensor, target_ids) -> Tensor:
             f"xent_loss got logits {logits.shape} against {ids.shape[0] if ids.ndim else '?'} targets"
         )
     mask = (ids != PAD_ID).astype(np.float64)
-    real = mask.sum()
-    if real == 0:
+    if not mask.any():
         raise UsageError("target is entirely padding")
-    log_probs = ad.log_softmax_rows(logits)
-    picked = ad.gather_rows(log_probs, ids)
-    masked = ad.mul(picked, Tensor(mask))
-    return ad.scale(ad.sum_all(masked), -1.0 / real)
+    return ad.xent_rows(logits, ids, mask)
 
 
 def batch_loss(
@@ -178,26 +174,29 @@ def adam_step(
 def clip_global_norm(params, max_norm: float) -> float:
     """Scale all gradients so their joint norm is at most ``max_norm``.
 
-    Returns the pre-clip norm.  Direction is never changed.  A sum of
-    squares that overflows while every entry is finite is summed again over
-    the gradients divided by their largest magnitude.
+    Returns the pre-clip norm, which is inf when it overflows.  Direction
+    is never changed.  A sum of squares that overflows while every entry is
+    finite is summed again over the gradients divided by their largest
+    magnitude, and the clipped gradient is still ``max_norm`` long.
     """
-    total = 0.0
+    total, big = 0.0, 1.0
     for p in params:
         if p.grad is None:
             raise UsageError("parameter has no gradient; run backward first")
         g = p.grad.reshape(-1)
         total += float(np.vdot(g, g))
-    norm = total**0.5
     if math.isinf(total) and all(np.isfinite(p.grad).all() for p in params):
         big = max(float(np.abs(p.grad).max(initial=0.0)) for p in params)
         total = 0.0
         for p in params:
             g = p.grad.reshape(-1) / big
             total += float(np.vdot(g, g))
-        norm = big * total**0.5
+    # the norm is big·root; the factor divides by each part in turn, so it
+    # stays finite and non-zero when the norm itself overflows
+    root = total**0.5
+    norm = big * root
     if norm > max_norm > 0:
-        factor = max_norm / norm
+        factor = (max_norm / big) / root
         for p in params:
             p.grad *= factor
     return norm

@@ -9,12 +9,16 @@ clarity over speed.
 
 The one exception is the per-sentence model: the teacher-forced loss of one
 (source, target) pair, stepping one token at a time.  It is built from the
-package's tape ops and from the sum, difference, product and sigmoid ops
-defined here on the package's tape, all of which criterion 1 checks against
-finite differences, and from a model's parameter records, but shares none
-of the batched encoder, decoder or loss code it is a reference for.  Its
-LSTM cell is the unfused one, sixteen tape nodes per step, that
-``autodiff.lstm_cell`` is checked against.
+package's tape ops and from the elementwise sum, difference and product,
+sigmoid, one-per-row gather, total and scale ops defined here on the
+package's tape, all of which criterion 1 checks against finite differences,
+and from a model's parameter records, but shares none of the batched
+encoder, decoder or loss code it is a reference for.  Its LSTM cell is the
+unfused one, sixteen tape nodes per step, that ``autodiff.lstm_cell`` is
+checked against, and ``xent_chain`` is the unfused loss that
+``autodiff.xent_rows`` is checked against bit for bit.  The elementwise ops
+keep the narrow broadcasting the engine once had: equal shapes, a vector
+over a matrix's rows, or a column over a matrix.
 """
 
 from __future__ import annotations
@@ -447,29 +451,61 @@ def load_checkpoint(path):
 
 
 # ---------------------------------------------------------------------------
-# tape ops that only the per-sentence model uses
+# tape ops that only the oracles use
+
+
+def _ew_check(a, b):
+    """Elementwise shapes: equal, a vector over a matrix's rows, or a column over a matrix."""
+    if a.shape == b.shape:
+        return
+    for big, small in ((a, b), (b, a)):
+        if big.ndim == 2 and small.ndim == 1 and big.shape[1] == small.shape[0]:
+            return
+        if big.ndim == 2 and small.ndim == 2 and small.shape == (big.shape[0], 1):
+            return
+    raise DimensionError(f"incompatible elementwise shapes {a.shape} and {b.shape}")
+
+
+def _reduce_to(g, shape):
+    """Sum a broadcast gradient back down to an operand's shape."""
+    if g.shape == shape:
+        return g
+    if len(shape) == 1:
+        return g.sum(axis=0)
+    return g.sum(axis=1, keepdims=True)
 
 
 def add(a, b):
-    """Elementwise a + b, with the package's narrow broadcasting rules."""
-    ad._ew_check(a.data, b.data)
+    """Elementwise a + b."""
+    _ew_check(a.data, b.data)
     ash, bsh = a.shape, b.shape
 
     def bw(g):
-        return ad._reduce_to(g, ash), ad._reduce_to(g, bsh)
+        return _reduce_to(g, ash), _reduce_to(g, bsh)
 
     return ad._emit(a.data + b.data, (a, b), bw)
 
 
 def sub(a, b):
-    """Elementwise a - b, with the package's narrow broadcasting rules."""
-    ad._ew_check(a.data, b.data)
+    """Elementwise a - b."""
+    _ew_check(a.data, b.data)
     ash, bsh = a.shape, b.shape
 
     def bw(g):
-        return ad._reduce_to(g, ash), ad._reduce_to(-g, bsh)
+        return _reduce_to(g, ash), _reduce_to(-g, bsh)
 
     return ad._emit(a.data - b.data, (a, b), bw)
+
+
+def mul(a, b):
+    """Elementwise a * b."""
+    _ew_check(a.data, b.data)
+    a_d, b_d = a.data, b.data
+
+    def bw(g):
+        return _reduce_to(g * b_d, a_d.shape), _reduce_to(g * a_d, b_d.shape)
+
+    return ad._emit(a_d * b_d, (a, b), bw)
 
 
 def matmul(a, b):
@@ -508,6 +544,50 @@ def reshape(x, shape):
     return ad._emit(x.data.reshape(shape), (x,), bw)
 
 
+def gather_rows(m, ids):
+    """Pick one entry per row: out[t] = m[t, ids[t]]."""
+    md = m.data
+    idx = np.asarray(ids, dtype=np.intp)
+    if md.ndim != 2 or idx.shape != (md.shape[0],):
+        raise DimensionError("gather_rows needs one id per row of a matrix")
+    if idx.size and (idx.min() < 0 or idx.max() >= md.shape[1]):
+        raise IndexError("column id out of range")
+    rows_ix = np.arange(md.shape[0])
+
+    def bw(g):
+        z = np.zeros_like(md)
+        z[rows_ix, idx] = g
+        return (z,)
+
+    return ad._emit(md[rows_ix, idx], (m,), bw)
+
+
+def sum_all(x):
+    """The sum of every entry, as a scalar."""
+    shape = x.shape
+
+    def bw(g):
+        return (np.full(shape, float(g)),)
+
+    return ad._emit(np.asarray(x.data.sum()), (x,), bw)
+
+
+def scale(x, c):
+    """Every entry times the constant ``c``."""
+    c = float(c)
+
+    def bw(g):
+        return (g * c,)
+
+    return ad._emit(x.data * c, (x,), bw)
+
+
+def xent_chain(logits, ids, mask):
+    """``autodiff.xent_rows`` as five unfused tape nodes: log-softmax, gather, mask, sum, scale."""
+    picked = gather_rows(ad.log_softmax_rows(logits), ids)
+    return scale(sum_all(mul(picked, Tensor(mask))), -1.0 / mask.sum())
+
+
 # ---------------------------------------------------------------------------
 # the per-sentence model
 
@@ -523,8 +603,8 @@ def lstm_cell(p, x, h, c):
     f = sigmoid(ad.narrow(z, H, 2 * H))
     g = ad.tanh(ad.narrow(z, 2 * H, 3 * H))
     o = sigmoid(ad.narrow(z, 3 * H, 4 * H))
-    c = add(ad.mul(f, c), ad.mul(i, g))
-    return ad.mul(o, ad.tanh(c)), c
+    c = add(mul(f, c), mul(i, g))
+    return mul(o, ad.tanh(c)), c
 
 
 def _zeros(H):
@@ -561,7 +641,7 @@ def nse_encode(p, emb):
         composed = ad.affine_rows(hidden, p.compose.W2, p.compose.b2)
         write_h, write_c = lstm_cell(p.write, composed, write_h, write_c)
         step = sub(reshape(write_h, (D,)), memory)
-        memory = add(memory, ad.mul(reshape(weights, (S, 1)), step))
+        memory = add(memory, mul(reshape(weights, (S, 1)), step))
         outputs.append(write_h)
         slot_weights.append(weights.data[0])
     return ad.stack_rows(outputs), write_h, write_c, slot_weights
@@ -595,5 +675,5 @@ def sentence_nll(model, src_ids, tgt_ids):
     """Summed negative log-likelihood of the wrapped target of one pair (no dropout)."""
     states, final_h, final_c = encode(model, src_ids)
     logits = teacher_logits(model, states, final_h, final_c, [BOS_ID] + list(tgt_ids))
-    picked = ad.gather_rows(ad.log_softmax_rows(logits), list(tgt_ids) + [EOS_ID])
-    return ad.scale(ad.sum_all(picked), -1.0)
+    picked = gather_rows(ad.log_softmax_rows(logits), list(tgt_ids) + [EOS_ID])
+    return scale(sum_all(picked), -1.0)

@@ -65,7 +65,7 @@ def _op_checks():
         return Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=True)
 
     def ws(x, w):
-        return ad.sum_all(ad.mul(x, w))
+        return oracles.sum_all(oracles.mul(x, w))
 
     checks = []
 
@@ -81,9 +81,9 @@ def _op_checks():
     x, c, w = uni(3, 4), uni(3, 1), pos(3, 4)
     check("sub col-broadcast", [x, c], lambda x=x, c=c, w=w: ws(oracles.sub(x, c), w))
     x, y, w = uni(3, 4), uni(3, 4), pos(3, 4)
-    check("mul same-shape", [x, y], lambda x=x, y=y, w=w: ws(ad.mul(x, y), w))
+    check("mul same-shape", [x, y], lambda x=x, y=y, w=w: ws(oracles.mul(x, y), w))
     x, v, w = uni(3, 4), uni(4), pos(3, 4)
-    check("mul row-broadcast", [x, v], lambda x=x, v=v, w=w: ws(ad.mul(x, v), w))
+    check("mul row-broadcast", [x, v], lambda x=x, v=v, w=w: ws(oracles.mul(x, v), w))
 
     a, b, w = uni(3, 4), uni(4, 5), pos(3, 5)
     check("matmul mat-mat", [a, b], lambda a=a, b=b, w=w: ws(oracles.matmul(a, b), w))
@@ -94,6 +94,12 @@ def _op_checks():
     x, w = uni(3, 5), pos(3, 5)
     check("softmax rows", [x], lambda x=x, w=w: ws(ad.softmax_rows(x), w))
     check("log-softmax rows", [x], lambda x=x, w=w: ws(ad.log_softmax_rows(x), w))
+    x, mask = uni(4, 5), np.array([1.0, 0.0, 1.0, 1.0])
+    check(
+        "masked cross-entropy rows (a padding row, a target of id 0)",
+        [x],
+        lambda x=x, mask=mask: ad.xent_rows(x, [2, 3, 0, 4], mask),
+    )
 
     a, b, w = uni(2, 4), uni(2, 3), pos(2, 7)
     check("concat", [a, b], lambda a=a, b=b, w=w: ws(ad.concat(a, b), w))
@@ -114,11 +120,11 @@ def _op_checks():
         lambda m=m, w=w: ws(ad.take_rows(m, [0, 2, 2, 5]), w),
     )
     m, w = uni(3, 5), pos(3)
-    check("gather one per row", [m], lambda m=m, w=w: ws(ad.gather_rows(m, [1, 0, 4]), w))
+    check("gather one per row", [m], lambda m=m, w=w: ws(oracles.gather_rows(m, [1, 0, 4]), w))
     x = uni(3, 4)
-    check("sum all", [x], lambda x=x: ad.sum_all(x))
+    check("sum all", [x], lambda x=x: oracles.sum_all(x))
     x, w = uni(3, 4), pos(3, 4)
-    check("scale", [x], lambda x=x, w=w: ws(ad.scale(x, -2.5), w))
+    check("scale", [x], lambda x=x, w=w: ws(oracles.scale(x, -2.5), w))
     x, w = uni(4, 6), pos(4, 6)
     check(
         "dropout (fixed mask)",
@@ -207,7 +213,7 @@ def _op_checks():
         lambda wx=wx, h=h, c=c, W=W, b=b, w=w: ws(ad.lstm_cell(wx, h, c, W, b), w),
     )
     def lstm_cell_made_weight_fn(wx=wx, h=h, c=c, W=W, b=b, w=w):
-        return ws(ad.lstm_cell(wx, h, c, ad.scale(W, 2.0), b), w)
+        return ws(ad.lstm_cell(wx, h, c, oracles.scale(W, 2.0), b), w)
     check("lstm cell, weight made by an op", [W], lstm_cell_made_weight_fn)
     # two sequences of three steps, time-major, with four query rows
     q, m, w = uni(4, 3), uni(6, 3), pos(4, 3)

@@ -55,7 +55,7 @@ def reference_loss(model, pairs):
     total = oracles.sentence_nll(model, *pairs[0])
     for src, tgt in pairs[1:]:
         total = oracles.add(total, oracles.sentence_nll(model, src, tgt))
-    return ad.scale(total, 1.0 / tokens)
+    return oracles.scale(total, 1.0 / tokens)
 
 
 @pytest.mark.parametrize("B", sorted(CASES))

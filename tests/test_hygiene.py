@@ -10,13 +10,14 @@ Every public tape op of ``autodiff`` (a function that calls ``_emit``) has
 its own finite-difference entry in criterion 1: it is called as
 ``ad.<name>(`` inside ``_op_checks``.
 
-Every public top-level function and class of the package, and every public
-method of its classes, is referenced from the package or the benchmark
-outside its own definition, or is a console script of ``pyproject.toml``.
-Code that only tests reach belongs in the tests.  A top-level name counts
-only where it means that definition: as a bare name in its own module or in
-a module that imports it from there, or as an attribute of a name bound to
-its module (``ad.take_rows``, ``training.train``).  So numpy's
+Every top-level function and class of the package, private ones included
+(dunders aside), and every public method of its classes, is referenced from
+the package or the benchmark outside its own definition, or is a console
+script of ``pyproject.toml``.  Code that only tests reach belongs in the
+tests, and a private helper goes with its last caller.  A top-level name
+counts only where it means that definition: as a bare name in its own
+module or in a module that imports it from there, or as an attribute of a
+name bound to its module (``ad.take_rows``, ``training.train``).  So numpy's
 ``x.reshape(...)`` is no use of an ``autodiff.reshape``.  A method counts
 wherever its name appears as a name or an attribute.
 """
@@ -128,12 +129,12 @@ def test_op_scan_finds_an_unchecked_op():
     assert tape_ops(autodiff) - ad_calls(checks, "_op_checks") == {"fused"}
 
 
-def public_definitions(tree):
-    """(name, node) of each public top-level function or class and each public method."""
+def definitions(tree):
+    """(name, node) of each top-level function or class but dunders, and each public method."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith("_"):
+        if not node.name.startswith("__"):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -203,7 +204,7 @@ def script_functions(pyproject: str):
 
 
 def unreferenced(definers, callers, scripts=()):
-    """Public names of the ``definers`` used nowhere in ``callers`` but in themselves.
+    """Names of the ``definers`` used nowhere in ``callers`` but in themselves.
 
     ``definers`` and ``callers`` map module names to sources.
     """
@@ -215,7 +216,7 @@ def unreferenced(definers, callers, scripts=()):
     found = []
     for module, source in definers.items():
         tree = ast.parse(source)
-        for name, node in public_definitions(tree):
+        for name, node in definitions(tree):
             if name in scripts:
                 continue
             if node in tree.body:
@@ -252,6 +253,9 @@ def test_reference_scan_finds_an_unreferenced_name():
         "def helper():\n    return Box().used()\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
         "def _hidden():\n    pass\n"
+        "def _helped():\n    return helper()\n"
+        "def __getattr__(name):\n    return name\n"
+        "def uses_helped():\n    return _helped()\n"
         "class Orphan:\n    pass\n"
         "def via_module():\n    pass\n"
         "def reshape(x):\n    return x\n"
@@ -263,13 +267,14 @@ def test_reference_scan_finds_an_unreferenced_name():
         "from nsesimp.mod import helper\n"
         "helper()\n"
         "m.via_module()\n"
+        "m.uses_helped()\n"
         # a method of another object and a function of another module, of the same names
         "np.zeros(2).reshape(1, 2)\n"
         "def shared():\n    pass\n"
         "shared()\n"
     )
     callers = {"mod": package, "bench": bench}
-    want = ["Orphan", "recursive", "reshape", "shared", "unused"]
+    want = ["Orphan", "_hidden", "recursive", "reshape", "shared", "unused"]
     assert unreferenced({"mod": package}, callers) == want
     assert unreferenced({"mod": package}, callers, {"recursive"}) == [
         n for n in want if n != "recursive"

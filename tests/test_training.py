@@ -83,6 +83,30 @@ def test_xent_length_mismatch_rejected():
         xent_loss(Tensor(np.zeros((3, 4))), [1, 2])
 
 
+def test_xent_rejects_a_target_outside_the_vocabulary():
+    for bad in ([1, 4, 2], [1, -1, 2]):
+        with pytest.raises(IndexError):
+            xent_loss(Tensor(np.zeros((3, 4))), bad)
+
+
+def test_xent_is_one_tape_node_bitwise_the_unfused_chain():
+    rng = np.random.default_rng(12)
+    logits = rng.normal(size=(7, 9)) * 3
+    # padding rows (target id 0) at the front, middle and end
+    ids = np.array([PAD_ID, 3, 8, PAD_ID, 1, 5, PAD_ID])
+    results = []
+    for loss_fn in (xent_loss, lambda x, t: oracles.xent_chain(x, t, (t != PAD_ID) * 1.0)):
+        x = Tensor(logits, requires_grad=True)
+        with Tape() as tape:
+            loss = loss_fn(x, ids)
+        nodes = len(tape.nodes)
+        backward(loss, tape)
+        results.append((nodes, loss.data.tobytes(), x.grad.tobytes()))
+    fused, chain = results
+    assert fused[0] == 1 and chain[0] == 5
+    assert fused[1:] == chain[1:]
+
+
 def test_xent_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     logits = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
@@ -139,7 +163,7 @@ def test_repeated_backward_accumulates_bitwise_like_a_fresh_sum():
         # W and b feed two nodes; the add hands c and d one and the same
         # gradient array, so leaves sharing a buffer would double-count
         z = oracles.add(oracles.add(c, d), ad.affine_rows(x, W, b))
-        return ad.sum_all(ad.mul(ad.tanh(z), ad.affine_rows(x, W, b)))
+        return oracles.sum_all(oracles.mul(ad.tanh(z), ad.affine_rows(x, W, b)))
 
     separate = []
     for x in inputs:
@@ -276,6 +300,15 @@ def test_clip_keeps_the_direction_when_the_sum_of_squares_overflows():
     norm = clip_global_norm([a], 5.0)
     assert abs(norm - 5e200) <= 1e-15 * 5e200
     np.testing.assert_allclose(a.grad, [3.0, 4.0], rtol=1e-15)
+
+
+def test_clip_keeps_the_direction_when_the_norm_itself_overflows():
+    # every entry is finite, but the norm, 1.5e308·√2, is not
+    a = _param([0.0, 0.0])
+    a.grad = np.array([1.5e308, 1.5e308])
+    assert clip_global_norm([a], 5.0) == math.inf
+    assert a.grad[0] == a.grad[1]
+    assert abs(math.hypot(*a.grad) - 5.0) <= 1e-15 * 5.0
 
 
 def test_clip_leaves_small_gradients_alone():
