@@ -385,11 +385,14 @@ class _FileReader:
         except UnicodeDecodeError as e:
             raise FormatError(f"{what} is not valid UTF-8", offset=at) from e
 
-    def f32_array(self, what):
+    def f32_array(self, what, expected=None):
+        at = self.pos
         rank = self.unpack("<I", f"{what} rank")
         if rank > 8:
             raise FormatError(f"{what} has implausible rank {rank}", offset=self.pos - 4)
         shape = tuple(self.unpack("<I", f"{what} dim") for _ in range(rank))
+        if expected is not None and shape != expected:
+            raise FormatError(f"{what} has shape {shape}, expected {expected}", offset=at)
         self._claim(4 * math.prod(shape), f"{what} data")
         arr = np.empty(shape, "<f4")
         self.f.readinto(arr)
@@ -432,8 +435,8 @@ def load_checkpoint(path):
         adam = None
         if r.unpack("<B", "optimizer flag"):
             t = r.unpack("<Q", "optimizer step")
-            m = [r.f32_array("optimizer moment") for _ in range(n_params)]
-            v = [r.f32_array("optimizer moment") for _ in range(n_params)]
+            m = [r.f32_array("optimizer moment", a.shape) for _, a in params]
+            v = [r.f32_array("optimizer moment", a.shape) for _, a in params]
             adam = AdamState(m=m, v=v, t=t)
         if f.read(1):
             raise FormatError("unexpected trailing bytes", offset=r.pos)

@@ -20,14 +20,27 @@ module or in a module that imports it from there, or as an attribute of a
 name bound to its module (``ad.take_rows``, ``training.train``).  So numpy's
 ``x.reshape(...)`` is no use of an ``autodiff.reshape``.  A method counts
 wherever its name appears as a name or an attribute.
+
+Threads: importing the package starts none; the whole-model passes of
+``training`` use one worker per usable CPU besides the caller's, run
+every job exactly once under the caller's numpy error handling, and return
+or raise only once no job is running.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import threading
+import time
 from collections import Counter
 
+import numpy as np
 import pytest
+
+from nsesimp import training
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "nsesimp").glob("*.py"))
@@ -279,3 +292,107 @@ def test_reference_scan_finds_an_unreferenced_name():
     assert unreferenced({"mod": package}, callers, {"recursive"}) == [
         n for n in want if n != "recursive"
     ]
+
+
+# ---------------------------------------------------------------------------
+# threads
+
+
+def thread_count_after(code: str) -> int:
+    """``threading.active_count()`` after running ``code`` in a fresh interpreter."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    script = f"import threading\n{code}\nprint(threading.active_count())"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
+def test_importing_the_cli_starts_no_thread():
+    assert thread_count_after("import nsesimp.cli") == 1
+
+
+def test_adam_steps_use_at_most_one_worker_per_cpu():
+    code = (
+        "import numpy as np\n"
+        "from nsesimp import autodiff, training\n"
+        "p = autodiff.Tensor(np.zeros(3 * training._CHUNK), requires_grad=True)\n"
+        "state = training.AdamState.create([p])\n"
+        "for _ in range(40):\n"
+        "    p.grad = np.ones(p.data.shape)\n"
+        "    training.adam_step([p], state, 0.001)\n"
+    )
+    # the caller and one worker per further CPU: the pool did start
+    assert thread_count_after(code) == len(os.sched_getaffinity(0))
+
+
+def test_a_failing_job_is_raised_once_no_other_job_runs():
+    started, finished = threading.Event(), threading.Event()
+
+    def slow():
+        started.set()
+        time.sleep(0.2)
+        finished.set()
+
+    def fail():
+        started.wait(5)
+        raise ValueError("job failed")
+
+    with pytest.raises(ValueError, match="job failed"):
+        training._run([slow, fail] + [lambda: None] * 4)
+    assert finished.is_set()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable CPU: no worker")
+def test_an_interrupt_is_raised_once_no_worker_job_runs():
+    worker_started = threading.Event()
+    starts, ends = [], []
+
+    def job():
+        if threading.current_thread() is threading.main_thread():
+            worker_started.wait(5)
+            raise KeyboardInterrupt
+        starts.append(1)
+        worker_started.set()
+        time.sleep(0.1)
+        ends.append(1)
+
+    with pytest.raises(KeyboardInterrupt):
+        training._run([job] * 6)
+    assert worker_started.is_set()
+    assert len(ends) == len(starts)
+
+
+def test_jobs_run_under_the_callers_numpy_error_handling():
+    seen = []
+
+    def job():
+        time.sleep(0.01)  # lets the workers claim some jobs
+        seen.append(np.geterr()["over"])
+
+    with np.errstate(over="raise"):
+        training._run([job] * 8)
+    assert seen == ["raise"] * 8
+
+
+def test_concurrent_passes_run_every_job_exactly_once():
+    n_jobs, callers = 500, 2 * len(os.sched_getaffinity(0)) + 2
+    ran = [[] for _ in range(callers)]
+
+    def caller(c):
+        training._run([lambda i=i: ran[c].append(i) for i in range(n_jobs)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(c,)) for c in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(sorted(r) == list(range(n_jobs)) for r in ran)

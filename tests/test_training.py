@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import pathlib
 import struct
 import tracemalloc
@@ -242,9 +243,14 @@ def test_adam_param_count_mismatch_rejected():
         adam_step([p, q], state, lr=0.1)
 
 
+def _chunks_past_the_pool(extra):
+    """Elements for more whole-model chunks than the pool has threads, plus ``extra``."""
+    return (len(os.sched_getaffinity(0)) + 2) * training._CHUNK + extra
+
+
 def test_adam_matches_whole_array_formula_bitwise():
-    # one shape spans several update chunks and ends mid-chunk
-    shapes = [(3,), (4, 5), (1,), (130, 300)]
+    # shapes that span several chunks, more than the pool's threads, and end mid-chunk
+    shapes = [(3,), (4, 5), (1,), (130, 300), (_chunks_past_the_pool(37),)]
     rng = np.random.default_rng(15)
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     ref_p = [p.data.copy() for p in params]
@@ -271,6 +277,36 @@ def test_adam_matches_whole_array_formula_bitwise():
         assert np.array_equal(p.data, want_p)
         assert np.array_equal(got_m, want_m)
         assert np.array_equal(got_v, want_v)
+
+
+def _bad_moments(shape):
+    n = math.prod(shape)
+    return {
+        "too short": np.zeros(n - 1),
+        "too long": np.zeros(n + 5),
+        "float32": np.zeros(shape, np.float32),
+        "read-only": np.zeros(shape),
+        "not contiguous": np.zeros(shape + (2,))[..., 0],
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_moments((3,))))
+@pytest.mark.parametrize("which", ["m", "v"])
+def test_adam_rejects_a_bad_moment_before_changing_anything(case, which):
+    rng = np.random.default_rng(16)
+    params = [_param(rng.normal(size=4)), _param(rng.normal(size=3))]
+    for p in params:
+        p.grad = rng.normal(size=p.data.shape)
+    state = AdamState.create(params)
+    state.t = 2
+    bad = _bad_moments((3,))[case]
+    bad.flags.writeable = case != "read-only"
+    getattr(state, which)[1] = bad
+    before = [a.tobytes() for a in [p.data for p in params] + state.m + state.v]
+    with pytest.raises(UsageError):
+        adam_step(params, state, lr=0.1)
+    assert [a.tobytes() for a in [p.data for p in params] + state.m + state.v] == before
+    assert state.t == 2
 
 
 def test_adam_minimizes_quadratic():
@@ -321,16 +357,26 @@ def test_clip_leaves_small_gradients_alone():
 
 def test_clip_norm_matches_the_elementwise_formula():
     rng = np.random.default_rng(15)
-    params = [_param(np.zeros(shape)) for shape in ((40, 30), (17,), (3, 200))]
+    shapes = ((40, 30), (17,), (3, 200), (_chunks_past_the_pool(11),))
+    params = [_param(np.zeros(shape)) for shape in shapes]
     for p in params:
         p.grad = rng.normal(size=p.data.shape) * 3.0
     before = [p.grad.copy() for p in params]
     want = math.sqrt(sum(float((g * g).sum()) for g in before))
     norm = clip_global_norm(params, 1.0)
     assert abs(norm - want) <= 1e-12 * want
+    # with max_norm 1 and no overflow, the factor is exactly 1 / norm
     factor = 1.0 / norm
     for p, g in zip(params, before):
-        np.testing.assert_allclose(p.grad, g * factor, rtol=1e-14, atol=0)
+        assert p.grad.tobytes() == (g * factor).tobytes()
+
+
+def test_clip_rejects_a_gradient_it_cannot_scale_in_place():
+    a = _param(np.zeros((3, 4)))
+    a.grad = np.ones((4, 3)).T
+    with pytest.raises(UsageError):
+        clip_global_norm([a], 1.0)
+    assert np.array_equal(a.grad, np.ones((3, 4)))
 
 
 def test_clip_missing_gradient_rejected():
@@ -681,6 +727,8 @@ def _corruptions(blob):
     name = blob.index(b"src_emb.E" + struct.pack("<3I", 2, 8, 2))
     rank = name + len(b"src_emb.E")
     kind = blob.index(b"nse")
+    # the optimizer flag and step (3) come just before the first moment
+    moment = blob.index(struct.pack("<BQ3I", 1, 3, 2, 8, 2)) + 9
     return {
         "bad magic": b"XSE1" + blob[4:],
         "bad version": blob[:4] + struct.pack("<I", 9) + blob[8:],
@@ -689,6 +737,8 @@ def _corruptions(blob):
         "huge dims": blob[: rank + 4] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + blob[rank + 12 :],
         "name not UTF-8": blob[:name] + b"\xff" + blob[name + 1 :],
         "wrong reserved header": blob.replace(b"<pad>", b"<pax>", 1),
+        # the first optimizer moment, [8, 2] like its parameter, read as [4, 4]
+        "moment shape": blob[: moment + 4] + struct.pack("<2I", 4, 4) + blob[moment + 12 :],
         "one trailing byte": blob + b"\x00",
         "empty": b"",
     }
@@ -793,7 +843,7 @@ def test_saving_a_made_checkpoint_rounds_like_its_float32_copy(tmp_path):
         src_vocab=src_vocab,
         tgt_vocab=tgt_vocab,
         params=[(f"a{i}", a) for i, a in enumerate(arrays)],
-        adam=AdamState(m=arrays[::-1], v=[-a for a in arrays], t=4),
+        adam=AdamState(m=[a[::-1] for a in arrays], v=[-a for a in arrays], t=4),
     )
     made_path, copy_path = tmp_path / "made.ckpt", tmp_path / "copy.ckpt"
     with np.errstate(over="ignore"):
@@ -843,6 +893,66 @@ def test_train_best_stays_frozen_while_training_resumes():
     for (_, a), b in zip(first.best.params, best):
         assert a.dtype == np.float32
         assert a.tobytes() == b.tobytes()
+
+
+def _wide_vocab():
+    """A vocabulary whose dim-4 output layer, [V, 8], spans more chunks than the pool has threads."""
+    return Vocabulary.from_tokens(
+        list(toy_tasks.COPY_WORDS) + [f"x{i}" for i in range(_chunks_past_the_pool(0) // 8)]
+    )
+
+
+def test_restore_widens_like_astype_from_loaded_and_made_checkpoints(tmp_path):
+    rng = np.random.default_rng(21)
+    vocab = _wide_vocab()
+    model = build_model("lstm", 4, vocab.size, vocab.size, rng)
+    assert model.decoder.out_w.data.size % training._CHUNK  # a short tail chunk
+    state = AdamState.create(model.params())
+    arrays = [p.data for p in model.params()] + state.m + state.v
+    for a in arrays:
+        a[...] = _rounding_cases(a.size, rng).reshape(a.shape)
+    made = make_checkpoint(model, vocab, vocab, adam=state)
+    path = tmp_path / "m.ckpt"
+    with np.errstate(over="ignore"):
+        save_checkpoint(made, path)
+        want = [a.astype(np.float32).astype(np.float64).tobytes() for a in arrays]
+        for ckpt in (made, load_checkpoint(path)):
+            back, adam = restore_model(ckpt), restore_adam(ckpt)
+            got = [p.data for p in back.params()] + adam.m + adam.v
+            assert all(a.dtype == np.float64 for a in got)
+            assert [a.tobytes() for a in got] == want
+
+
+def test_train_best_snapshot_is_the_float32_rounding_of_the_weights():
+    rng = np.random.default_rng(23)
+    corpus = toy_tasks.copy_pairs(rng, 4, min_len=3, max_len=4)
+    dev = toy_tasks.copy_pairs(rng, 2, min_len=3, max_len=4)
+    vocab = _wide_vocab()
+    config = _loop_config(dim=4, max_epochs=1, max_decode_len=4)
+    result = train(config, corpus, dev, src_vocab=vocab, tgt_vocab=vocab)
+    for (_, snap), p in zip(result.best.params, result.model.params()):
+        assert snap.dtype == np.float32
+        assert snap.tobytes() == p.data.astype(np.float32).tobytes()
+
+
+def test_load_rejects_a_moment_shaped_unlike_its_parameter(tmp_path):
+    _, _, src_vocab, tgt_vocab = _small_setup()
+    ckpt = Checkpoint(
+        encoder_kind="lstm",
+        dim=1,
+        src_vocab=src_vocab,
+        tgt_vocab=tgt_vocab,
+        params=[("a", np.ones((10, 4))), ("b", np.ones(3))],
+        adam=AdamState(m=[np.ones((10, 4)), np.ones(3)], v=[np.ones(3), np.ones(3)], t=1),
+    )
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, path)
+    # the first v moment's record (rank, one dim, 3 floats) starts before the last one's
+    at = path.stat().st_size - 2 * (4 + 4 + 3 * 4)
+    for load in (load_checkpoint, oracles.load_checkpoint):
+        with pytest.raises(FormatError, match=r"shape \(3,\), expected \(10, 4\)") as err:
+            load(path)
+        assert err.value.offset == at
 
 
 def _traced_peak(fn, *args):
