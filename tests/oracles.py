@@ -4,8 +4,9 @@ Everything here is written from first principles with naive loops and no
 shared code with the package: finite differences for gradients, direct
 n-gram scanning for the metrics, filter-then-argmax for model selection,
 a beam search that steps one hypothesis at a time, and a checkpoint reader
-that reads the file field by field into fresh arrays.  Slow on purpose;
-clarity over speed.
+and writer that go through the file field by field, the reader into fresh
+arrays and the writer one small rounding buffer at a time, on one thread.
+Slow on purpose; clarity over speed.
 
 The one exception is the per-sentence model: the teacher-forced loss of one
 (source, target) pair, stepping one token at a time.  It is built from the
@@ -27,6 +28,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -349,7 +351,7 @@ def beam_search(session, beam, max_len, length_normalize, eos_id, never=(PAD_ID,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint reading
+# checkpoint reading and writing
 
 
 class _FileReader:
@@ -451,6 +453,54 @@ def load_checkpoint(path):
         dev_bleu=dev_bleu,
         dev_sari=dev_sari,
     )
+
+
+def _write_strings(f, strings):
+    for s in strings:
+        data = s.encode("utf-8")
+        f.write(struct.pack("<I", len(data)))
+        f.write(data)
+
+
+def _write_array(f, arr, buf):
+    f.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
+    if arr.dtype == buf.dtype:
+        f.write(np.ascontiguousarray(arr).data)
+        return
+    flat = arr.reshape(-1)
+    for lo in range(0, flat.size, buf.size):
+        part = buf[: min(buf.size, flat.size - lo)]
+        part[...] = flat[lo : lo + part.size]
+        f.write(part.data)
+
+
+def save_checkpoint(ckpt, path):
+    """Write ``ckpt`` field by field on this thread, rounding through one small buffer.
+
+    The reference for ``training.save_checkpoint``: the same bytes.  An
+    existing file at ``path`` is unlinked first.
+    """
+    path = Path(path).resolve()
+    path.unlink(missing_ok=True)
+    buf = np.empty(1 << 16, "<f4")
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        _write_strings(f, [ckpt.encoder_kind])
+        f.write(struct.pack("<IIdd", ckpt.dim, ckpt.epoch, ckpt.dev_bleu, ckpt.dev_sari))
+        for vocab in (ckpt.src_vocab, ckpt.tgt_vocab):
+            f.write(struct.pack("<I", vocab.size))
+            _write_strings(f, vocab.id_to_token)
+        f.write(struct.pack("<I", len(ckpt.params)))
+        for name, arr in ckpt.params:
+            _write_strings(f, [name])
+            _write_array(f, arr, buf)
+        if ckpt.adam is None:
+            f.write(b"\x00")
+        else:
+            f.write(struct.pack("<BQ", 1, ckpt.adam.t))
+            for arr in ckpt.adam.m + ckpt.adam.v:
+                _write_array(f, arr, buf)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ name bound to its module (``ad.take_rows``, ``training.train``).  So numpy's
 ``x.reshape(...)`` is no use of an ``autodiff.reshape``.  A method counts
 wherever its name appears as a name or an attribute.
 
-Threads: importing the package starts none; the whole-model passes of
+Threads: the package makes them at one site only, the worker pool of
+``training`` (``_Pool.lend``), and importing it starts none; the passes of
 ``training`` use one worker per usable CPU besides the caller's, run
 every job exactly once under the caller's numpy error handling, and return
 or raise only once no job is running.
@@ -296,6 +297,63 @@ def test_reference_scan_finds_an_unreferenced_name():
 
 # ---------------------------------------------------------------------------
 # threads
+
+
+THREAD_MAKERS = {"Thread", "Timer", "ThreadPoolExecutor", "start_new_thread"}
+
+
+def _callee(node):
+    """The last name of a called or derived-from expression: ``Thread`` of ``threading.Thread``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def thread_sites(source: str):
+    """Scope of every place that makes a thread, in source order.
+
+    A site is a call of a thread class or function, or a class derived from
+    one; its scope is the dotted names of the enclosing classes and
+    functions, or ``<module>``.
+    """
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                if isinstance(child, ast.ClassDef) and any(
+                    _callee(b) in THREAD_MAKERS for b in child.bases
+                ):
+                    sites.append(".".join(inner))
+            elif isinstance(child, ast.Call) and _callee(child.func) in THREAD_MAKERS:
+                sites.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_the_package_makes_threads_only_in_the_worker_pool():
+    sites = [(p.name, s) for p in PACKAGE for s in thread_sites(p.read_text(encoding="utf-8"))]
+    assert sites == [("training.py", "_Pool.lend")]
+
+
+def test_thread_scan_finds_every_way_to_make_one():
+    source = (
+        "import threading, _thread\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "class Worker(threading.Thread):\n    pass\n"
+        "def go():\n    threading.Timer(1, go).start()\n"
+        "class Pool:\n    def start(self):\n        return Thread(target=go)\n"
+        "pool = ThreadPoolExecutor(2)\n"
+        "_thread.start_new_thread(go, ())\n"
+        "threading.Event().wait(0)\n"
+    )
+    assert thread_sites(source) == ["Worker", "go", "Pool.start", "<module>", "<module>"]
 
 
 def thread_count_after(code: str) -> int:

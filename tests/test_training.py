@@ -1,11 +1,14 @@
 """Tests for the loss, optimizer, config, selection, checkpoint, and loop."""
 
 import dataclasses
+import errno
 import math
 import os
 import pathlib
 import struct
+import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -655,6 +658,7 @@ def test_golden_checkpoint_resaves_byte_identically(tmp_path):
     path = tmp_path / "again.ckpt"
     save_checkpoint(ckpt, path)
     assert path.read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
+    _assert_writers_agree(ckpt, tmp_path)
     # through a live float64 model and optimizer state and back
     rebuilt = make_checkpoint(
         restore_model(ckpt),
@@ -702,6 +706,14 @@ def _assert_same_checkpoint(got, want):
     for a, b in arrays:
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def _assert_writers_agree(ckpt, tmp_path):
+    """The pipelined save writes the serial reference writer's bytes."""
+    got, want = tmp_path / "pipelined.ckpt", tmp_path / "serial.ckpt"
+    save_checkpoint(ckpt, got)
+    oracles.save_checkpoint(ckpt, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def _assert_readers_agree(path):
@@ -795,9 +807,11 @@ def test_resaving_a_loaded_checkpoint_over_its_own_path(tmp_path):
     loaded = load_checkpoint(path)
     save_checkpoint(loaded, path)
     assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["m.ckpt"]  # the old file, renamed aside, is gone
     # another checkpoint saved over the path leaves the loaded views as they were
     other = dataclasses.replace(ckpt, params=[(n, a + 1.0) for n, a in ckpt.params], adam=None)
     save_checkpoint(other, path)
+    assert os.listdir(tmp_path) == ["m.ckpt"]
     for (_, a), (_, b) in zip(ckpt.params, loaded.params):
         assert np.array_equal(a.astype(np.float32), b)
     for a, b in zip(ckpt.adam.m + ckpt.adam.v, loaded.adam.m + loaded.adam.v):
@@ -812,6 +826,80 @@ def test_saving_through_a_symlink_replaces_its_target(tmp_path):
     save_checkpoint(dataclasses.replace(ckpt, adam=None), link)
     assert link.is_symlink()
     assert load_checkpoint(path).adam is None
+    assert sorted(os.listdir(tmp_path)) == ["link.ckpt", "m.ckpt"]
+
+
+def test_made_loaded_and_float32_checkpoints_save_the_serial_writers_bytes(tmp_path):
+    made, path = _saved_with_adam(tmp_path)
+    for ckpt in (made, load_checkpoint(path), _rounded(made)):
+        _assert_writers_agree(ckpt, tmp_path)
+
+
+class _FailingFile:
+    """A binary file whose writes raise once more than ``limit`` bytes were asked for."""
+
+    def __init__(self, path, mode, limit):
+        self.f, self.limit, self.asked = open(path, mode), limit, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.asked += memoryview(data).nbytes
+        if self.asked > self.limit:
+            raise OSError(errno.ENOSPC, "disk full (injected)")
+        return self.f.write(data)
+
+
+def test_a_failed_save_raises_its_own_error_and_leaves_no_job_or_old_file(tmp_path, monkeypatch):
+    ckpt, path = _saved_with_adam(tmp_path)
+    half = path.stat().st_size // 2
+    unlink = os.unlink
+
+    def slow_unlink(name):
+        time.sleep(0.1)  # the save must wait for this job, whichever thread runs it
+        unlink(name)
+
+    running, round_chunk = [], training._round_chunk
+
+    def slow_round(*args):
+        running.append(None)
+        time.sleep(0.001)
+        round_chunk(*args)
+        running.pop()
+
+    monkeypatch.setattr(os, "unlink", slow_unlink)
+    with monkeypatch.context() as patch:
+        # many small blocks of slow jobs, so the failure lands with a block rounding ahead
+        patch.setattr(training, "_save_block", lambda values: min(500, values))
+        patch.setattr(training, "_CHUNK", 50)
+        patch.setattr(training, "_round_chunk", slow_round)
+        patch.setattr(training, "open", partial(_FailingFile, limit=half), raising=False)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(ckpt, path)
+        assert not running
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+    assert path.stat().st_size <= half
+    # the pool is free: an Adam step and another save both succeed
+    model, _, _, _ = _small_setup(seed=4)
+    params = model.params()
+    for p in params:
+        p.grad = np.ones(p.data.shape)
+    adam_step(params, AdamState.create(params), lr=0.001)
+    save_checkpoint(ckpt, path)
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+    _assert_same_checkpoint(load_checkpoint(path), _rounded(ckpt))
+
+
+def test_saving_over_a_directory_raises_and_leaves_it(tmp_path):
+    ckpt, _ = _saved_with_adam(tmp_path)
+    (tmp_path / "d").mkdir()
+    with pytest.raises(IsADirectoryError):
+        save_checkpoint(ckpt, tmp_path / "d")
+    assert sorted(os.listdir(tmp_path)) == ["d", "m.ckpt"]
 
 
 def _rounding_cases(n, rng):
@@ -830,13 +918,16 @@ def _rounding_cases(n, rng):
     return values
 
 
-def test_saving_a_made_checkpoint_rounds_like_its_float32_copy(tmp_path):
-    chunk = training._SAVE_CHUNK
+def test_saving_a_made_checkpoint_rounds_like_its_float32_copy(tmp_path, monkeypatch):
+    block = 1000
+    monkeypatch.setattr(training, "_save_block", lambda values: min(block, values))
     rng = np.random.default_rng(12)
     _, _, src_vocab, tgt_vocab = _small_setup()
-    sizes = [0, 1, chunk - 1, chunk, chunk + 1]
+    sizes = [0, 1, block - 1, block, block + 1]
     arrays = [_rounding_cases(n, rng) for n in sizes]
-    arrays.append(_rounding_cases(3 * (chunk // 2 + 1), rng).reshape(3, -1))
+    arrays.append(_rounding_cases(3 * (block // 2 + 1), rng).reshape(3, -1))
+    # written as it is, between two arrays that share the first block
+    arrays.insert(2, rng.normal(size=7).astype(np.float32))
     made = Checkpoint(
         encoder_kind="lstm",
         dim=1,
@@ -845,12 +936,18 @@ def test_saving_a_made_checkpoint_rounds_like_its_float32_copy(tmp_path):
         params=[(f"a{i}", a) for i, a in enumerate(arrays)],
         adam=AdamState(m=[a[::-1] for a in arrays], v=[-a for a in arrays], t=4),
     )
-    made_path, copy_path = tmp_path / "made.ckpt", tmp_path / "copy.ckpt"
     with np.errstate(over="ignore"):
-        save_checkpoint(made, made_path)
         copy = _rounded(made)
+    copy_path = tmp_path / "copy.ckpt"
     save_checkpoint(copy, copy_path)
-    assert made_path.read_bytes() == copy_path.read_bytes()
+    # blocks of 1000 values, each rounded as one job per array part or as jobs of 300
+    for chunk in (training._CHUNK, 300):
+        monkeypatch.setattr(training, "_CHUNK", chunk)
+        made_path = tmp_path / f"made-{chunk}.ckpt"
+        with np.errstate(over="ignore"):
+            save_checkpoint(made, made_path)
+            _assert_writers_agree(made, tmp_path)
+        assert made_path.read_bytes() == copy_path.read_bytes()
     assert np.isinf(copy.params[-1][1]).any() and (copy.params[-1][1] == 0).any()
     _assert_same_checkpoint(load_checkpoint(made_path), copy)
 
@@ -892,6 +989,54 @@ def test_train_best_stays_frozen_while_training_resumes():
     assert not all(np.array_equal(a, p.data) for a, p in zip(weights, first.model.params()))
     for (_, a), b in zip(first.best.params, best):
         assert a.dtype == np.float32
+        assert a.tobytes() == b.tobytes()
+
+
+def test_train_reuses_the_arrays_of_its_own_best_snapshot_never_a_callers(monkeypatch):
+    rng = np.random.default_rng(79)
+    corpus = toy_tasks.copy_pairs(rng, 12, min_len=3, max_len=4)
+    dev = toy_tasks.copy_pairs(rng, 4, min_len=3, max_len=4)
+    config = _loop_config(max_epochs=4)
+    # every epoch wins the selection, so every epoch takes a snapshot
+    monkeypatch.setattr(training, "select_model", lambda records, *rule: records[-1].epoch)
+    snapshots, round_into = [], training._round_into
+
+    def recorded(pairs):
+        pairs = list(pairs)
+        snapshots.append([dst for dst, _ in pairs])
+        round_into(pairs)
+
+    monkeypatch.setattr(training, "_round_into", recorded)
+
+    def assert_snapshot_of_weights(result, arrays):
+        assert len(result.best.params) == len(arrays)
+        assert all(a is b for (_, a), b in zip(result.best.params, arrays))
+        for (_, snap), p in zip(result.best.params, result.model.params()):
+            assert snap.dtype == np.float32
+            assert snap.tobytes() == p.data.astype(np.float32).tobytes()
+
+    first = train(config, corpus, dev, epochs=2)
+    assert len(snapshots) == 2
+    assert all(a is b for a, b in zip(*snapshots))
+    assert_snapshot_of_weights(first, snapshots[0])
+    held = [a.copy() for _, a in first.best.params]
+    second = train(
+        config,
+        corpus,
+        dev,
+        model=first.model,
+        src_vocab=first.src_vocab,
+        tgt_vocab=first.tgt_vocab,
+        adam=first.adam,
+        records=first.records,
+        best=first.best,
+        epochs=2,
+    )
+    assert len(snapshots) == 4
+    assert not any(a is b for a, b in zip(snapshots[0], snapshots[2]))
+    assert all(a is b for a, b in zip(snapshots[2], snapshots[3]))
+    assert_snapshot_of_weights(second, snapshots[2])
+    for (_, a), b in zip(first.best.params, held):
         assert a.tobytes() == b.tobytes()
 
 
@@ -980,10 +1125,10 @@ def test_checkpoint_save_and_load_stream_without_staging_copies(tmp_path):
     file_bytes = path.stat().st_size
     array_bytes = 3 * sum(4 * p.data.size for p in model.params())  # parameters, m and v
     assert file_bytes > 4_000_000
-    # Making and saving hold one float32 chunk buffer (256 KiB) and one packed
-    # vocabulary (about 40 KB here) at a time: about 5% of this 6.7 MB file.  A
-    # float32 copy of the parameters and moments made before writing would be
-    # about the whole file.
+    # Making and saving hold two float32 block buffers (32K values each, 256 KiB
+    # together) and one packed vocabulary (about 40 KB here) at a time: about 5%
+    # of this 6.7 MB file.  A float32 copy of the parameters and moments made
+    # before writing would be about the whole file.
     assert save_peak < 0.08 * file_bytes, (save_peak, file_bytes)
     # the vocabularies are the load's own objects; the arrays add next to nothing
     vocab_only = tmp_path / "vocab.ckpt"
