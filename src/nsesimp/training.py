@@ -102,13 +102,13 @@ def sentence_loss(
 # whole-model passes
 #
 # The Adam step, the clip rescale, the best snapshot, the checkpoint
-# widening and the save's rounding each touch every parameter once,
-# elementwise.  They run as jobs of _CHUNK elements that the caller and one
-# worker thread per further usable CPU claim one at a time from a shared
-# list, so a thread slowed by other work (such as BLAS threads still
-# spinning) takes fewer jobs.  Each element gets the same operations in the
-# same order whichever thread runs its job, so the results are bitwise those
-# of one thread.  Jobs call only numpy, os.unlink and the private helpers
+# widening and the checkpoint save each touch every parameter once,
+# elementwise.  Each is one pass: a list of jobs over chunks of elements that
+# the caller and one worker thread per further usable CPU claim one at a time,
+# so a thread slowed by other work (such as BLAS threads still spinning) takes
+# fewer jobs.  Each element gets the same operations in the same order
+# whichever thread runs its job, so the results are bitwise those of one
+# thread.  Jobs call only numpy, os.pwrite, os.unlink and the private helpers
 # below, never a traceable public function.
 
 # Elements per job: the chunk's slices and the Adam step's two scratch
@@ -117,10 +117,17 @@ def sentence_loss(
 # 0.26-0.51 s at 2^13, 2^14 and 2^17.
 _CHUNK = 1 << 15
 
+# Elements below which a pass runs on the caller alone, since waking the
+# workers costs about what they save.  On 2 cores a clip plus Adam step took
+# 0.6 ms on the caller against 1.3 ms pooled at 52,872 values (22 arrays),
+# about the same at 2^18 to 2^20 values, and 18 ms against 16 ms at 2^21.
+_LEND_FROM = 1 << 20
 
-def _chunked(job, size: int, *args) -> list:
-    """``job(lo, hi, *args)`` for each chunk ``[lo, hi)`` of ``size`` elements."""
-    return [partial(job, lo, min(lo + _CHUNK, size), *args) for lo in range(0, size, _CHUNK)]
+
+def _chunked(job, size: int, *args, step: int = 0) -> list:
+    """``job(lo, hi, *args)`` per chunk ``[lo, hi)`` of ``size`` elements, ``step`` or ``_CHUNK`` long."""
+    step = step or _CHUNK
+    return [partial(job, lo, min(lo + step, size), *args) for lo in range(0, size, step)]
 
 
 class _Pass:
@@ -182,13 +189,6 @@ class _Pass:
         if self.error is not None:
             raise self.error
 
-    def finish(self) -> None:
-        """Run the jobs no worker has claimed, then settle."""
-        try:
-            self.work(worker=False)
-        finally:
-            self.settle()
-
 
 class _Pool:
     """Daemon workers, one per usable CPU besides the caller's, started on first use."""
@@ -219,11 +219,14 @@ class _Pool:
 _POOL = _Pool()
 
 
-def _run(jobs: list) -> None:
-    """Run every job; return, or raise a job's error, only once no job is running."""
+def _run(jobs: list, values: int) -> None:
+    """Run a pass over ``values`` elements; return, or raise a job's error, once no job runs."""
     task = _Pass(jobs)
-    _POOL.lend(task, len(jobs) - 1)
-    task.finish()
+    _POOL.lend(task, len(jobs) - 1 if values >= _LEND_FROM else 0)
+    try:
+        task.work(worker=False)
+    finally:
+        task.settle()
 
 
 def _round_chunk(lo: int, hi: int, dst: np.ndarray, src: np.ndarray) -> None:
@@ -235,10 +238,11 @@ def _round_chunk(lo: int, hi: int, dst: np.ndarray, src: np.ndarray) -> None:
 
 def _round_into(pairs) -> None:
     """Each ``(dst, src)``: ``src`` rounded to float32 into the C-contiguous ``dst``, as one pass."""
-    jobs = []
+    jobs, values = [], 0
     for dst, src in pairs:
         jobs += _chunked(_round_chunk, dst.size, dst.reshape(-1), src.reshape(-1))
-    _run(jobs)
+        values += dst.size
+    _run(jobs, values)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,7 @@ def adam_step(
     for p, m, v in zip(params, state.m, state.v):
         flat = [a.reshape(-1) for a in (p.data, p.grad, m, v)]
         jobs += _chunked(_adam_chunk, p.data.size, *flat, lr, beta1, beta2, eps, c1, c2)
-    _run(jobs)
+    _run(jobs, sum(p.data.size for p in params))
 
 
 def clip_global_norm(params, max_norm: float) -> float:
@@ -368,7 +372,7 @@ def clip_global_norm(params, max_norm: float) -> float:
         jobs = []
         for p in params:
             jobs += _chunked(_scale_chunk, p.grad.size, p.grad.reshape(-1), factor)
-        _run(jobs)
+        _run(jobs, sum(p.grad.size for p in params))
     return norm
 
 
@@ -601,89 +605,20 @@ def restore_adam(ckpt: Checkpoint) -> AdamState | None:
 _U32 = struct.Struct("<I")
 _F4 = np.dtype("<f4")
 
-# Values per save block.  While the caller writes one block, the pool rounds
-# the next.  On 2 cores a paper-shape save (120.6M values, 483 MB) took a
-# median 0.15-0.16 s at 2^20, 0.17-0.19 s at 2^19 and 0.16-0.17 s at 2^21,
-# against 0.24 s for rounding and writing one after another.
-_SAVE_BLOCK = 1 << 20
+# Values per save job: larger writes cost less per byte, larger buffers fall
+# out of cache.  On 2 cores a paper-shape save (120.6M values, 483 MB) took a
+# median 0.16-0.17 s at 2^17, 0.17-0.19 s at 2^18, 0.19 s at 2^16 and
+# 0.21-0.22 s at 2^15.
+_SAVE_CHUNK = 1 << 17
 
 
-def _save_block(values: int) -> int:
-    """Values per block of a save that rounds ``values`` in all.
-
-    At most 1/64 of them, so the two block buffers stay a small part of the
-    file, but no fewer than one job's chunk unless the save has fewer.
-    """
-    return min(_SAVE_BLOCK, max(_CHUNK, values // 64), values)
-
-
-def _blocks(flats, size: int):
-    """Each block of the arrays' values, one after another, as its (offset, slice) parts."""
-    parts, at = [], 0
-    for flat in flats:
-        lo = 0
-        while lo < flat.size:
-            n = min(size - at, flat.size - lo)
-            parts.append((at, flat[lo : lo + n]))
-            at, lo = at + n, lo + n
-            if at == size:
-                yield parts
-                parts, at = [], 0
-    if parts:
-        yield parts
-
-
-class _Rounded:
-    """The float32 rounding of arrays' values, one after another, read block by block.
-
-    The rounding runs one block ahead, on the pool, into the other of two
-    buffers: while the caller writes block i, the workers round block i + 1,
-    and once the caller needs that block it rounds what they have not
-    claimed.  Block 0 is lent as soon as this is made.  Leaving the ``with``
-    statement waits for any job still rounding ahead.
-    """
-
-    def __init__(self, arrays):
-        flats = [a.reshape(-1) for a in arrays]
-        size = _save_block(sum(a.size for a in flats))
-        self.bufs = [np.empty(size, _F4), np.empty(size, _F4)]
-        self.turn = 0  # the buffer the next block is rounded into
-        self.blocks = _blocks(flats, size)
-        self.unread = self.bufs[0][:0]
-        self.ahead = None
-        self._lend_next()
-
-    def __enter__(self) -> "_Rounded":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.ahead is not None:
-            self.ahead[0].settle()
-
-    def _lend_next(self) -> None:
-        """Lend the next block's rounding, if any, into the buffer not being read."""
-        parts = next(self.blocks, None)
-        if parts is None:
-            return
-        buf, jobs = self.bufs[self.turn], []
-        for at, src in parts:
-            jobs += _chunked(_round_chunk, src.size, buf[at : at + src.size], src)
-        task = _Pass(jobs)
-        _POOL.lend(task, len(jobs))
-        self.ahead = task, buf[: at + src.size]  # up to the end of the last part
-        self.turn ^= 1
-
-    def write(self, f, n: int) -> None:
-        """Write the next ``n`` rounded values to ``f``."""
-        while n:
-            if not self.unread.size:
-                task, self.unread = self.ahead
-                self.ahead = None
-                task.finish()
-                self._lend_next()
-            part, self.unread = self.unread[:n], self.unread[n:]
-            f.write(part.data)
-            n -= part.size
+def _write_values(lo: int, hi: int, fd: int, at: int, src: np.ndarray) -> None:
+    """``src[lo:hi]`` as ``<f4`` (rounded as ``astype`` rounds), written at ``at + 4·lo`` of ``fd``."""
+    data = np.ascontiguousarray(src[lo:hi], _F4).data.cast("B")
+    at += 4 * lo
+    while data:
+        n = os.pwrite(fd, data, at)
+        data, at = data[n:], at + n
 
 
 def _packed_strings(strings) -> bytearray:
@@ -695,13 +630,12 @@ def _packed_strings(strings) -> bytearray:
     return out
 
 
-def _write_array(f, arr: np.ndarray, rounded: _Rounded) -> None:
-    """Rank, shape and the ``<f4`` values of ``arr``: as they are, or the next of ``rounded``."""
+def _leave_gap(f, arr: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank and shape of ``arr``, then a gap for its values: (the gap's offset, the values)."""
     f.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
-    if arr.dtype == _F4:
-        f.write(np.ascontiguousarray(arr).data)
-    else:
-        rounded.write(f, arr.size)
+    at = f.tell()
+    f.seek(4 * arr.size, os.SEEK_CUR)
+    return at, arr.reshape(-1)
 
 
 def _set_aside(path: Path) -> Path | None:
@@ -717,52 +651,47 @@ def _set_aside(path: Path) -> Path | None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ``ckpt`` to ``path`` section by section, with no staging copy.
+    """Write ``ckpt`` to ``path``: every field here, then the arrays' values as one pass.
 
-    Arrays already in float32 are written as they are; any other array is
-    rounded to float32, as ``astype`` rounds it, through two buffers of one
-    block each (see ``_Rounded``): the pool rounds the next block while this
-    thread writes the current one, so the file's bytes are those of a
-    serial save.  With one usable CPU everything runs here, one step after
-    another.
-
+    Each job rounds a chunk of values to float32, as ``astype`` does, and
+    writes it into the gap left for it, so the bytes are a serial save's.
     An existing file at ``path`` (or at the end of a symlink there) is never
-    truncated in place, since a loaded checkpoint may still map it, even the
-    one being saved.  It is renamed to ``<name>.<16 hex digits>.old`` beside
-    it and unlinked as a pool job while the new file is written.  The call
-    returns, or raises, only once every job it started has finished, and
-    then no renamed file is left; a save that is killed may leave one.
+    truncated, since a loaded checkpoint may still map it, even the one being
+    saved: it is renamed to ``<name>.<16 hex digits>.old`` beside it and
+    unlinked by the pass's first job.  The call returns, or raises, once no
+    job runs, and then no renamed file is left; a killed save may leave one.
     """
     path = Path(path).resolve()
-    arrays = [a for _, a in ckpt.params]
-    if ckpt.adam is not None:
-        arrays += ckpt.adam.m + ckpt.adam.v
-    # block 0 rounds while the header and the vocabularies are packed
-    with _Rounded([a for a in arrays if a.dtype != _F4]) as rounded:
-        old = _set_aside(path)
-        unlink = _Pass([] if old is None else [partial(os.unlink, old)])
-        _POOL.lend(unlink, len(unlink.jobs))
-        try:
-            with open(path, "wb") as f:
-                f.write(CHECKPOINT_MAGIC)
-                f.write(struct.pack("<I", CHECKPOINT_VERSION))
-                f.write(_packed_strings([ckpt.encoder_kind]))
-                f.write(struct.pack("<IIdd", ckpt.dim, ckpt.epoch, ckpt.dev_bleu, ckpt.dev_sari))
-                for vocab in (ckpt.src_vocab, ckpt.tgt_vocab):
-                    f.write(struct.pack("<I", vocab.size))
-                    f.write(_packed_strings(vocab.id_to_token))
-                f.write(struct.pack("<I", len(ckpt.params)))
-                for name, arr in ckpt.params:
-                    f.write(_packed_strings([name]))
-                    _write_array(f, arr, rounded)
-                if ckpt.adam is None:
-                    f.write(b"\x00")
-                else:
-                    f.write(struct.pack("<BQ", 1, ckpt.adam.t))
-                    for arr in ckpt.adam.m + ckpt.adam.v:
-                        _write_array(f, arr, rounded)
-        finally:
-            unlink.finish()
+    old = _set_aside(path)
+    try:
+        with open(path, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(_packed_strings([ckpt.encoder_kind]))
+            f.write(struct.pack("<IIdd", ckpt.dim, ckpt.epoch, ckpt.dev_bleu, ckpt.dev_sari))
+            for vocab in (ckpt.src_vocab, ckpt.tgt_vocab):
+                f.write(struct.pack("<I", vocab.size))
+                f.write(_packed_strings(vocab.id_to_token))
+            f.write(struct.pack("<I", len(ckpt.params)))
+            gaps = []
+            for name, arr in ckpt.params:
+                f.write(_packed_strings([name]))
+                gaps.append(_leave_gap(f, arr))
+            if ckpt.adam is None:
+                f.write(b"\x00")
+            else:
+                f.write(struct.pack("<BQ", 1, ckpt.adam.t))
+                gaps += [_leave_gap(f, arr) for arr in ckpt.adam.m + ckpt.adam.v]
+            jobs = [] if old is None else [partial(os.unlink, old)]
+            for at, flat in gaps:
+                jobs += _chunked(_write_values, flat.size, f.fileno(), at, flat, step=_SAVE_CHUNK)
+            f.flush()
+            _run(jobs, sum(flat.size for _, flat in gaps))
+    except BaseException:
+        # the pass unlinks the old file, unless the save failed before it ran
+        if old is not None:
+            old.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

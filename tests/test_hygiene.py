@@ -23,9 +23,9 @@ wherever its name appears as a name or an attribute.
 
 Threads: the package makes them at one site only, the worker pool of
 ``training`` (``_Pool.lend``), and importing it starts none; the passes of
-``training`` use one worker per usable CPU besides the caller's, run
-every job exactly once under the caller's numpy error handling, and return
-or raise only once no job is running.
+``training`` use one worker per usable CPU besides the caller's (none for a
+pass too small to lend), run every job exactly once under the caller's
+numpy error handling, and return or raise only once no job is running.
 """
 
 import ast
@@ -49,7 +49,7 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 CALLERS = PACKAGE + sorted((ROOT / "nsebench").glob("*.py"))
 
 # Kept without a caller: the optimizer state a resumed run restores
-# (ROADMAP item 1) is read back with it.
+# (ROADMAP item 3) is read back with it.
 UNREFERENCED_ALLOWED = {"restore_adam"}
 
 
@@ -368,6 +368,10 @@ def thread_count_after(code: str) -> int:
     return int(done.stdout)
 
 
+# a pass of this many values is lent to the workers
+LENT = training._LEND_FROM
+
+
 def test_importing_the_cli_starts_no_thread():
     assert thread_count_after("import nsesimp.cli") == 1
 
@@ -376,7 +380,7 @@ def test_adam_steps_use_at_most_one_worker_per_cpu():
     code = (
         "import numpy as np\n"
         "from nsesimp import autodiff, training\n"
-        "p = autodiff.Tensor(np.zeros(3 * training._CHUNK), requires_grad=True)\n"
+        "p = autodiff.Tensor(np.zeros(training._LEND_FROM), requires_grad=True)\n"
         "state = training.AdamState.create([p])\n"
         "for _ in range(40):\n"
         "    p.grad = np.ones(p.data.shape)\n"
@@ -399,7 +403,7 @@ def test_a_failing_job_is_raised_once_no_other_job_runs():
         raise ValueError("job failed")
 
     with pytest.raises(ValueError, match="job failed"):
-        training._run([slow, fail] + [lambda: None] * 4)
+        training._run([slow, fail] + [lambda: None] * 4, LENT)
     assert finished.is_set()
 
 
@@ -418,9 +422,20 @@ def test_an_interrupt_is_raised_once_no_worker_job_runs():
         ends.append(1)
 
     with pytest.raises(KeyboardInterrupt):
-        training._run([job] * 6)
+        training._run([job] * 6, LENT)
     assert worker_started.is_set()
     assert len(ends) == len(starts)
+
+
+def test_a_pass_below_the_lending_size_runs_on_the_caller_alone():
+    threads = []
+
+    def job():
+        time.sleep(0.01)  # would let a lent worker claim some jobs
+        threads.append(threading.current_thread())
+
+    training._run([job] * 8, LENT - 1)
+    assert threads == [threading.current_thread()] * 8
 
 
 def test_jobs_run_under_the_callers_numpy_error_handling():
@@ -431,7 +446,7 @@ def test_jobs_run_under_the_callers_numpy_error_handling():
         seen.append(np.geterr()["over"])
 
     with np.errstate(over="raise"):
-        training._run([job] * 8)
+        training._run([job] * 8, LENT)
     assert seen == ["raise"] * 8
 
 
@@ -440,7 +455,7 @@ def test_concurrent_passes_run_every_job_exactly_once():
     ran = [[] for _ in range(callers)]
 
     def caller(c):
-        training._run([lambda i=i: ran[c].append(i) for i in range(n_jobs)])
+        training._run([lambda i=i: ran[c].append(i) for i in range(n_jobs)], LENT)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

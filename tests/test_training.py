@@ -8,7 +8,6 @@ import pathlib
 import struct
 import time
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -280,6 +279,31 @@ def test_adam_matches_whole_array_formula_bitwise():
         assert np.array_equal(p.data, want_p)
         assert np.array_equal(got_m, want_m)
         assert np.array_equal(got_v, want_v)
+
+
+def test_passes_lent_to_the_pool_give_the_bits_of_the_caller_alone(monkeypatch):
+    # the clip rescale, Adam and the widening, over shapes that span several
+    # chunks, more than the pool's threads, and end mid-chunk
+    shapes = [(3,), (130, 300), (_chunks_past_the_pool(37),)]
+    rng = np.random.default_rng(16)
+    start = [rng.normal(size=s) for s in shapes]
+    grads = [10.0 * rng.normal(size=s) for s in shapes]
+    assert sum(math.prod(s) for s in shapes) < training._LEND_FROM  # the first run stays here
+    results = []
+    for lend_from in (training._LEND_FROM, 0):
+        monkeypatch.setattr(training, "_LEND_FROM", lend_from)
+        params = [Tensor(a.copy(), requires_grad=True) for a in start]
+        state = AdamState.create(params)
+        for _ in range(2):
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            clip_global_norm(params, 1.0)
+            adam_step(params, state, lr=0.01)
+        widened = [np.empty(s) for s in shapes]
+        training._round_into(zip(widened, (p.data for p in params)))
+        arrays = [p.data for p in params] + state.m + state.v + widened
+        results.append([a.tobytes() for a in arrays])
+    assert results[0] == results[1]
 
 
 def _bad_moments(shape):
@@ -709,8 +733,8 @@ def _assert_same_checkpoint(got, want):
 
 
 def _assert_writers_agree(ckpt, tmp_path):
-    """The pipelined save writes the serial reference writer's bytes."""
-    got, want = tmp_path / "pipelined.ckpt", tmp_path / "serial.ckpt"
+    """The save's one pass of positioned writes gives the serial reference writer's bytes."""
+    got, want = tmp_path / "positioned.ckpt", tmp_path / "serial.ckpt"
     save_checkpoint(ckpt, got)
     oracles.save_checkpoint(ckpt, want)
     assert got.read_bytes() == want.read_bytes()
@@ -835,54 +859,42 @@ def test_made_loaded_and_float32_checkpoints_save_the_serial_writers_bytes(tmp_p
         _assert_writers_agree(ckpt, tmp_path)
 
 
-class _FailingFile:
-    """A binary file whose writes raise once more than ``limit`` bytes were asked for."""
-
-    def __init__(self, path, mode, limit):
-        self.f, self.limit, self.asked = open(path, mode), limit, 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-    def write(self, data):
-        self.asked += memoryview(data).nbytes
-        if self.asked > self.limit:
-            raise OSError(errno.ENOSPC, "disk full (injected)")
-        return self.f.write(data)
-
-
 def test_a_failed_save_raises_its_own_error_and_leaves_no_job_or_old_file(tmp_path, monkeypatch):
     ckpt, path = _saved_with_adam(tmp_path)
     half = path.stat().st_size // 2
-    unlink = os.unlink
+    unlink, pwrite = os.unlink, os.pwrite
+    calls, running = [], []
 
     def slow_unlink(name):
         time.sleep(0.1)  # the save must wait for this job, whichever thread runs it
         unlink(name)
 
-    running, round_chunk = [], training._round_chunk
-
-    def slow_round(*args):
+    def failing_pwrite(fd, data, at):
+        calls.append(at)
         running.append(None)
-        time.sleep(0.001)
-        round_chunk(*args)
-        running.pop()
+        try:
+            time.sleep(0.001)
+            if at + len(data) > half:
+                raise OSError(errno.ENOSPC, "disk full (injected)")
+            return pwrite(fd, data, at)
+        finally:
+            running.pop()
 
     monkeypatch.setattr(os, "unlink", slow_unlink)
     with monkeypatch.context() as patch:
-        # many small blocks of slow jobs, so the failure lands with a block rounding ahead
-        patch.setattr(training, "_save_block", lambda values: min(500, values))
-        patch.setattr(training, "_CHUNK", 50)
-        patch.setattr(training, "_round_chunk", slow_round)
-        patch.setattr(training, "open", partial(_FailingFile, limit=half), raising=False)
-        with pytest.raises(OSError, match="injected"):
+        # many small jobs of slow writes, lent to the pool, so the failure lands
+        # while other jobs run
+        patch.setattr(training, "_SAVE_CHUNK", 50)
+        patch.setattr(training, "_LEND_FROM", 0)
+        patch.setattr(os, "pwrite", failing_pwrite)
+        with pytest.raises(OSError, match="injected") as err:
             save_checkpoint(ckpt, path)
+        assert err.value.errno == errno.ENOSPC
         assert not running
+        written = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == written  # and no job starts after the call returned
     assert os.listdir(tmp_path) == ["m.ckpt"]
-    assert path.stat().st_size <= half
     # the pool is free: an Adam step and another save both succeed
     model, _, _, _ = _small_setup(seed=4)
     params = model.params()
@@ -892,6 +904,37 @@ def test_a_failed_save_raises_its_own_error_and_leaves_no_job_or_old_file(tmp_pa
     save_checkpoint(ckpt, path)
     assert os.listdir(tmp_path) == ["m.ckpt"]
     _assert_same_checkpoint(load_checkpoint(path), _rounded(ckpt))
+
+
+def test_a_save_that_cannot_open_its_file_leaves_no_old_file(tmp_path, monkeypatch):
+    ckpt, path = _saved_with_adam(tmp_path)
+
+    def failing_open(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "no access (injected)")
+
+    # the existing file is set aside before the new one is opened
+    monkeypatch.setattr(training, "open", failing_open, raising=False)
+    with pytest.raises(PermissionError, match="injected"):
+        save_checkpoint(ckpt, path)
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_save_whose_jobs_run_in_reverse_writes_the_serial_writers_bytes(tmp_path, monkeypatch):
+    ckpt, path = _saved_with_adam(tmp_path)
+    passes, run = [], training._run
+
+    def reversed_run(jobs, values):
+        passes.append(len(jobs))
+        run(jobs[::-1], values)
+
+    monkeypatch.setattr(training, "_SAVE_CHUNK", 50)
+    monkeypatch.setattr(training, "_run", reversed_run)
+    save_checkpoint(ckpt, path)  # over the first save, so the unlink job runs last
+    assert len(passes) == 1 and passes[0] > 2
+    want = tmp_path / "serial.ckpt"
+    oracles.save_checkpoint(ckpt, want)
+    assert path.read_bytes() == want.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["m.ckpt", "serial.ckpt"]
 
 
 def test_saving_over_a_directory_raises_and_leaves_it(tmp_path):
@@ -919,14 +962,13 @@ def _rounding_cases(n, rng):
 
 
 def test_saving_a_made_checkpoint_rounds_like_its_float32_copy(tmp_path, monkeypatch):
-    block = 1000
-    monkeypatch.setattr(training, "_save_block", lambda values: min(block, values))
+    job = 1000
     rng = np.random.default_rng(12)
     _, _, src_vocab, tgt_vocab = _small_setup()
-    sizes = [0, 1, block - 1, block, block + 1]
+    sizes = [0, 1, job - 1, job, job + 1]
     arrays = [_rounding_cases(n, rng) for n in sizes]
-    arrays.append(_rounding_cases(3 * (block // 2 + 1), rng).reshape(3, -1))
-    # written as it is, between two arrays that share the first block
+    arrays.append(_rounding_cases(3 * (job // 2 + 1), rng).reshape(3, -1))
+    # written as it is, between two float64 arrays
     arrays.insert(2, rng.normal(size=7).astype(np.float32))
     made = Checkpoint(
         encoder_kind="lstm",
@@ -940,10 +982,11 @@ def test_saving_a_made_checkpoint_rounds_like_its_float32_copy(tmp_path, monkeyp
         copy = _rounded(made)
     copy_path = tmp_path / "copy.ckpt"
     save_checkpoint(copy, copy_path)
-    # blocks of 1000 values, each rounded as one job per array part or as jobs of 300
-    for chunk in (training._CHUNK, 300):
-        monkeypatch.setattr(training, "_CHUNK", chunk)
-        made_path = tmp_path / f"made-{chunk}.ckpt"
+    # jobs of 1000 values on this thread alone and lent to the pool, and jobs of 300
+    for save_chunk, lend_from in ((job, training._LEND_FROM), (job, 0), (300, 0)):
+        monkeypatch.setattr(training, "_SAVE_CHUNK", save_chunk)
+        monkeypatch.setattr(training, "_LEND_FROM", lend_from)
+        made_path = tmp_path / f"made-{save_chunk}-{lend_from}.ckpt"
         with np.errstate(over="ignore"):
             save_checkpoint(made, made_path)
             _assert_writers_agree(made, tmp_path)
@@ -1116,19 +1159,22 @@ def _make_and_save(model, vocab, adam, path):
     save_checkpoint(make_checkpoint(model, vocab, vocab, adam=adam), path)
 
 
-def test_checkpoint_save_and_load_stream_without_staging_copies(tmp_path):
+def test_checkpoint_save_and_load_stream_without_staging_copies(tmp_path, monkeypatch):
     vocab = Vocabulary.from_tokens(f"w{i}" for i in range(4000))
     model = build_model("lstm", 32, vocab.size, vocab.size, np.random.default_rng(6))
     adam = AdamState.create(model.params())
     path = tmp_path / "m.ckpt"
+    # each thread holds one job's float32 values at a time; at jobs of 4096
+    # values that stays small next to this file on any number of CPUs
+    monkeypatch.setattr(training, "_SAVE_CHUNK", 4096)
     _, save_peak = _traced_peak(_make_and_save, model, vocab, adam, path)
     file_bytes = path.stat().st_size
     array_bytes = 3 * sum(4 * p.data.size for p in model.params())  # parameters, m and v
     assert file_bytes > 4_000_000
-    # Making and saving hold two float32 block buffers (32K values each, 256 KiB
-    # together) and one packed vocabulary (about 40 KB here) at a time: about 5%
-    # of this 6.7 MB file.  A float32 copy of the parameters and moments made
-    # before writing would be about the whole file.
+    # Making and saving hold a 16 KiB job's values per thread and one packed
+    # vocabulary (about 40 KB here) at a time: about 1% of this 6.7 MB file on
+    # 2 CPUs.  A float32 copy of the parameters and moments made before
+    # writing would be about the whole file.
     assert save_peak < 0.08 * file_bytes, (save_peak, file_bytes)
     # the vocabularies are the load's own objects; the arrays add next to nothing
     vocab_only = tmp_path / "vocab.ckpt"
