@@ -653,20 +653,22 @@ def _set_aside(path: Path) -> Path | None:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write ``ckpt`` to ``path``: every field here, then the arrays' values as one pass.
 
-    Each job rounds a chunk of values to float32, as ``astype`` does, and
-    writes it into the gap left for it, so the bytes are a serial save's.
-    An existing file at ``path`` (or at the end of a symlink there) is never
-    truncated, since a loaded checkpoint may still map it, even the one being
-    saved: it is renamed to ``<name>.<16 hex digits>.old`` beside it and
-    unlinked by the pass's first job.  The call returns, or raises, once no
-    job runs, and then no renamed file is left; a killed save may leave one.
+    Each job rounds a chunk of values to float32, as ``astype`` does, into the
+    gap left for it, so the bytes are a serial save's.  The magic goes in last,
+    so a killed save's file fails to load.  An existing file at ``path`` (or a
+    symlink's target) is never truncated, since a loaded checkpoint may map it:
+    it is renamed to ``<name>.<16 hex digits>.old`` and unlinked by the pass's
+    first job.  The call returns, or raises, once no job runs; a failed save
+    puts the renamed file back if the pass has not unlinked it, else removes
+    the new file.
     """
     path = Path(path).resolve()
     old = _set_aside(path)
+    opened = False
     try:
         with open(path, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            opened = True
+            f.write(struct.pack("<4xI", CHECKPOINT_VERSION))  # zeros where the magic goes
             f.write(_packed_strings([ckpt.encoder_kind]))
             f.write(struct.pack("<IIdd", ckpt.dim, ckpt.epoch, ckpt.dev_bleu, ckpt.dev_sari))
             for vocab in (ckpt.src_vocab, ckpt.tgt_vocab):
@@ -687,10 +689,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
                 jobs += _chunked(_write_values, flat.size, f.fileno(), at, flat, step=_SAVE_CHUNK)
             f.flush()
             _run(jobs, sum(flat.size for _, flat in gaps))
+            f.seek(0)
+            f.write(CHECKPOINT_MAGIC)
     except BaseException:
-        # the pass unlinks the old file, unless the save failed before it ran
-        if old is not None:
-            old.unlink(missing_ok=True)
+        # no job runs now, so the old file is either unlinked or still aside
+        if old is not None and old.exists():
+            old.replace(path)
+        elif opened:
+            path.unlink(missing_ok=True)
         raise
 
 
