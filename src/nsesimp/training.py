@@ -20,11 +20,11 @@ import errno
 import math
 import mmap
 import os
-import queue
 import struct
 import threading
 import time
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -123,6 +123,12 @@ _CHUNK = 1 << 15
 # about the same at 2^18 to 2^20 values, and 18 ms against 16 ms at 2^21.
 _LEND_FROM = 1 << 20
 
+# The workers: the executor starts its threads as passes are lent to it, so
+# importing starts none.  With one usable CPU no pass is lent, and the size
+# is 1 only because the executor rejects 0.
+_WORKERS = len(os.sched_getaffinity(0)) - 1
+_POOL = ThreadPoolExecutor(max(_WORKERS, 1), thread_name_prefix="nsesimp-pass")
+
 
 def _chunked(job, size: int, *args, step: int = 0) -> list:
     """``job(lo, hi, *args)`` per chunk ``[lo, hi)`` of ``size`` elements, ``step`` or ``_CHUNK`` long."""
@@ -131,102 +137,63 @@ def _chunked(job, size: int, *args, step: int = 0) -> list:
 
 
 class _Pass:
-    """One list of jobs, claimed in order by the caller and by lent workers.
+    """One list of jobs, claimed in order by the caller and by pool threads.
 
     Every job runs under the caller's numpy error handling.  A job that
-    raises closes the claims, and the first error is kept.  ``running``
-    counts only the workers' jobs: the caller waits for those.
+    raises closes the claims, and the first error is kept.
     """
 
     def __init__(self, jobs: list):
-        self.jobs = jobs
+        self.jobs = iter(jobs)
         self.errstate = np.geterr()
-        self.next = 0
-        self.running = 0
+        self.lock = threading.Lock()
         self.closed = False
         self.error: BaseException | None = None
-        self.cond = threading.Condition()
 
-    def work(self, worker: bool) -> None:
+    def work(self) -> None:
         """Run claimed jobs until the claims close or none is left."""
         with np.errstate(**self.errstate):
             while True:
-                with self.cond:
-                    if self.closed or self.next == len(self.jobs):
-                        return
-                    job = self.jobs[self.next]
-                    self.next += 1
-                    self.running += worker
-                error = None
+                with self.lock:
+                    job = None if self.closed else next(self.jobs, None)
+                if job is None:
+                    return
                 try:
                     job()
                 except BaseException as e:  # kept, and raised by the caller once no job runs
-                    error = e
-                with self.cond:
-                    self.running -= worker
-                    if error is not None and self.error is None:
-                        self.error, self.closed = error, True
-                    if not self.running:
-                        self.cond.notify_all()
-
-    def settle(self) -> None:
-        """Close the claims and wait until no worker runs a job, then raise any error.
-
-        An interrupt during the wait is held back until the wait ends.
-        """
-        interrupt = None
-        while True:
-            try:
-                with self.cond:
-                    self.closed = True
-                    while self.running:
-                        self.cond.wait()
-                break
-            except BaseException as e:  # re-raised below, after the workers finish
-                interrupt = interrupt or e
-        if interrupt is not None:
-            raise interrupt
-        if self.error is not None:
-            raise self.error
-
-
-class _Pool:
-    """Daemon workers, one per usable CPU besides the caller's, started on first use."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.passes = queue.SimpleQueue()
-        self.workers: int | None = None
-
-    def lend(self, task: _Pass, helpers: int) -> None:
-        """Let up to ``helpers`` workers claim ``task``'s jobs."""
-        if helpers < 1:
-            return
-        with self.lock:
-            if self.workers is None:
-                self.workers = len(os.sched_getaffinity(0)) - 1
-                for i in range(self.workers):
-                    name = f"nsesimp-pass-{i}"
-                    threading.Thread(target=self._serve, name=name, daemon=True).start()
-        for _ in range(min(helpers, self.workers)):
-            self.passes.put(task)
-
-    def _serve(self) -> None:
-        while True:
-            self.passes.get().work(worker=True)
-
-
-_POOL = _Pool()
+                    with self.lock:
+                        if self.error is None:
+                            self.error, self.closed = e, True
 
 
 def _run(jobs: list, values: int) -> None:
-    """Run a pass over ``values`` elements; return, or raise a job's error, once no job runs."""
+    """Run a pass over ``values`` elements; return, or raise a job's error, once no job runs.
+
+    A pass of ``_LEND_FROM`` values or more is lent to up to one pool thread
+    per job after the first.  Once the caller's own claims end, it closes the
+    claims, cancels the lent turns that no thread has started and waits for
+    the rest; an interrupt during that is held back until the wait ends.
+    """
     task = _Pass(jobs)
-    _POOL.lend(task, len(jobs) - 1 if values >= _LEND_FROM else 0)
+    helpers = min(len(jobs) - 1, _WORKERS) if values >= _LEND_FROM else 0
+    turns = [_POOL.submit(task.work) for _ in range(helpers)]
     try:
-        task.work(worker=False)
+        task.work()
     finally:
-        task.settle()
+        interrupt = None
+        while True:
+            try:
+                task.closed = True
+                for turn in turns:
+                    turn.cancel()
+                wait(turns)
+                break
+            except BaseException as e:  # re-raised below, once no lent job runs
+                interrupt = interrupt or e
+        if interrupt is not None:
+            raise interrupt
+    if task.error is not None:
+        raise task.error
 
 
 def _round_chunk(lo: int, hi: int, dst: np.ndarray, src: np.ndarray) -> None:

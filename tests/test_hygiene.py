@@ -21,17 +21,19 @@ name bound to its module (``ad.take_rows``, ``training.train``).  So numpy's
 ``x.reshape(...)`` is no use of an ``autodiff.reshape``.  A method counts
 wherever its name appears as a name or an attribute.
 
-Threads: the package makes them at one site only, the worker pool of
-``training`` (``_Pool.lend``), and importing it starts none; the passes of
-``training`` use one worker per usable CPU besides the caller's (none for a
-pass too small to lend), run every job exactly once under the caller's
-numpy error handling, and return or raise only once no job is running.
+Threads: the package makes them at one site only, the ``ThreadPoolExecutor``
+that ``training`` builds at module level, and importing it starts none; the
+passes of ``training`` use one worker per usable CPU besides the caller's
+(none for a pass too small to lend), run every job exactly once under the
+caller's numpy error handling, and return or raise only once no job is
+running, holding back an interrupt until then.
 """
 
 import ast
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -339,7 +341,7 @@ def thread_sites(source: str):
 
 def test_the_package_makes_threads_only_in_the_worker_pool():
     sites = [(p.name, s) for p in PACKAGE for s in thread_sites(p.read_text(encoding="utf-8"))]
-    assert sites == [("training.py", "_Pool.lend")]
+    assert sites == [("training.py", "<module>")]
 
 
 def test_thread_scan_finds_every_way_to_make_one():
@@ -425,6 +427,41 @@ def test_an_interrupt_is_raised_once_no_worker_job_runs():
         training._run([job] * 6, LENT)
     assert worker_started.is_set()
     assert len(ends) == len(starts)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable CPU: no worker")
+def test_an_interrupt_while_the_caller_waits_is_held_until_the_worker_job_ends():
+    worker_started, caller_waits = threading.Event(), threading.Event()
+    starts, ends = [], []
+
+    def job():
+        if threading.current_thread() is threading.main_thread():
+            worker_started.wait(5)
+            caller_waits.set()  # its claims end with this job
+            return
+        starts.append(time.monotonic())
+        worker_started.set()
+        time.sleep(0.5)
+        ends.append(time.monotonic())
+
+    def interrupt():
+        # a real SIGINT, as Ctrl-C sends, breaks into the caller's blocking wait
+        if caller_waits.wait(5) and worker_started.is_set():
+            time.sleep(0.05)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+    sender = threading.Thread(target=interrupt)
+    sender.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            training._run([job] * 2, LENT)
+        raised = time.monotonic()
+    finally:
+        sender.join(timeout=10)
+    time.sleep(0.1)  # a job that started late would show by now
+    assert not sender.is_alive()
+    assert len(starts) == len(ends) == 1
+    assert ends[0] <= raised
 
 
 def test_a_pass_below_the_lending_size_runs_on_the_caller_alone():
